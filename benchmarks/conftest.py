@@ -9,7 +9,20 @@ the wall-clock of the harness itself.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
+
+from repro.harness import ExperimentSpec, load_spec
+
+#: The shipped experiment specs: the only definition of Table 1 and
+#: Figures 4-7.
+SPEC_DIR = Path(__file__).resolve().parents[1] / "examples" / "specs"
+
+
+def shipped_spec(name: str) -> ExperimentSpec:
+    """``examples/specs/<name>.toml``."""
+    return load_spec(SPEC_DIR / f"{name}.toml")
 
 
 def run_once(benchmark, fn, *args, **kwargs):

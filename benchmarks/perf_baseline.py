@@ -36,11 +36,21 @@ import shutil
 import sys
 import tempfile
 import time
+from dataclasses import replace
+from pathlib import Path
 
 sys.path.insert(0, "src")
 
 from repro import bench_config, get_workload, simulate, small_config  # noqa: E402
-from repro.harness import ResultCache, detect_cpus, figure5, small_params  # noqa: E402
+from repro.harness import (  # noqa: E402
+    ResultCache,
+    Scheduler,
+    WorkloadSel,
+    detect_cpus,
+    load_spec,
+    run_spec,
+    small_params,
+)
 from repro.isa.engines import default_sim_engine  # noqa: E402
 
 #: Frozen measurements of the pre-PR revision (the PR-1 tip) on the
@@ -66,6 +76,7 @@ SINGLE_RUNS = (
 )
 
 SWEEP_BENCHMARKS = ("treeadd", "em3d", "health")
+FIGURE5 = Path(__file__).resolve().parent.parent / "examples/specs/figure5.toml"
 REPS = 3
 SPEEDUP_TARGET = 1.3
 
@@ -93,8 +104,14 @@ def _time_single(
 
 
 def _time_sweep(cfg, params, **kwargs) -> tuple[float, list]:
+    """The shipped Figure 5 on SWEEP_BENCHMARKS; ``kwargs`` configure
+    the Scheduler (jobs, cache)."""
+    spec = replace(load_spec(FIGURE5), workloads=tuple(
+        WorkloadSel(name, params=dict((params or {}).get(name) or {}))
+        for name in SWEEP_BENCHMARKS
+    ))
     t0 = time.perf_counter()
-    rows = figure5(cfg, benchmarks=SWEEP_BENCHMARKS, params=params, **kwargs)
+    rows = run_spec(spec, cfg, Scheduler(**kwargs))
     return time.perf_counter() - t0, rows
 
 

@@ -34,18 +34,34 @@ import shutil
 import sys
 import tempfile
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import small_config                              # noqa: E402
-from repro.harness import SweepExecutor, SweepJournal, figure5  # noqa: E402
+from repro.harness import (                                 # noqa: E402
+    Scheduler,
+    SweepJournal,
+    load_spec,
+    run_spec,
+)
 from repro.obs import MetricRegistry                        # noqa: E402
-from repro.workloads import workload_class                  # noqa: E402
 
 BENCHMARKS = ("treeadd", "power")
 #: 2 benchmarks x (5 timing + 3 distinct compute) cells.
 TOTAL_CELLS = 16
+
+FIGURE5 = Path(__file__).resolve().parent.parent / "examples/specs/figure5.toml"
+
+
+def sweep(executor: Scheduler) -> list[dict]:
+    """The shipped Figure 5 on BENCHMARKS at test size, small machine."""
+    spec = load_spec(FIGURE5)
+    spec = replace(spec, workloads=tuple(
+        w for w in spec.workloads if w.name in BENCHMARKS
+    )).small()
+    return run_spec(spec, small_config(), executor)
 
 
 class InterruptMidway:
@@ -62,13 +78,10 @@ class InterruptMidway:
 
 
 def drill(jobs: int, kill_after: int, verbose: bool) -> None:
-    cfg = small_config()
-    params = {name: workload_class(name).test_params() for name in BENCHMARKS}
     say = print if verbose else (lambda *a, **k: None)
 
     say(f"reference sweep ({len(BENCHMARKS)} benchmarks, jobs={jobs}) ...")
-    reference = figure5(cfg, benchmarks=BENCHMARKS, params=params,
-                        executor=SweepExecutor(jobs=jobs))
+    reference = sweep(Scheduler(jobs=jobs))
 
     with tempfile.TemporaryDirectory() as tmp:
         journal_path = Path(tmp) / "drill.jsonl"
@@ -76,12 +89,10 @@ def drill(jobs: int, kill_after: int, verbose: bool) -> None:
         say(f"interrupted sweep: Ctrl-C after {kill_after} cells ...")
         registry = MetricRegistry()
         journal = SweepJournal(journal_path, registry=registry)
-        executor = SweepExecutor(jobs=jobs, journal=journal,
-                                 registry=registry,
-                                 progress=InterruptMidway(kill_after))
+        executor = Scheduler(jobs=jobs, journal=journal, registry=registry,
+                             progress=InterruptMidway(kill_after))
         try:
-            figure5(cfg, benchmarks=BENCHMARKS, params=params,
-                    executor=executor)
+            sweep(executor)
         except KeyboardInterrupt:
             pass
         else:
@@ -100,10 +111,8 @@ def drill(jobs: int, kill_after: int, verbose: bool) -> None:
         say("resuming from the journal ...")
         registry = MetricRegistry()
         journal = SweepJournal(journal_path, registry=registry, resume=True)
-        executor = SweepExecutor(jobs=jobs, journal=journal,
-                                 registry=registry)
-        resumed = figure5(cfg, benchmarks=BENCHMARKS, params=params,
-                          executor=executor)
+        executor = Scheduler(jobs=jobs, journal=journal, registry=registry)
+        resumed = sweep(executor)
         journal.close()
 
         jstats, xstats = journal.stats(), executor.stats()
@@ -158,13 +167,10 @@ class _ServicePool:
 def service_drill(kill_after: int, verbose: bool) -> None:
     """Two-pool sweep-service drill: pool A dies at ~50% of the sweep,
     pool B finishes it from the journal with zero recomputed cells."""
-    cfg = small_config()
-    params = {name: workload_class(name).test_params() for name in BENCHMARKS}
     say = print if verbose else (lambda *a, **k: None)
 
     say(f"reference sweep ({len(BENCHMARKS)} benchmarks, serial) ...")
-    reference = figure5(cfg, benchmarks=BENCHMARKS, params=params,
-                        executor=SweepExecutor(jobs=1))
+    reference = sweep(Scheduler(jobs=1))
 
     pool_a = _ServicePool("drill-a")
     pool_b = _ServicePool("drill-b")
@@ -175,14 +181,13 @@ def service_drill(kill_after: int, verbose: bool) -> None:
             say(f"sweep on pool A, killed after {kill_after} cells ...")
             registry = MetricRegistry()
             journal = SweepJournal(journal_path, registry=registry)
-            executor = SweepExecutor(
+            executor = Scheduler(
                 backend="service", pools=[pool_a.path],
                 journal=journal, registry=registry,
                 progress=InterruptMidway(kill_after),
             )
             try:
-                figure5(cfg, benchmarks=BENCHMARKS, params=params,
-                        executor=executor)
+                sweep(executor)
             except KeyboardInterrupt:
                 pass
             else:
@@ -205,10 +210,9 @@ def service_drill(kill_after: int, verbose: bool) -> None:
             registry = MetricRegistry()
             journal = SweepJournal(journal_path, registry=registry,
                                    resume=True)
-            executor = SweepExecutor(backend="service", pools=[pool_b.path],
-                                     journal=journal, registry=registry)
-            resumed = figure5(cfg, benchmarks=BENCHMARKS, params=params,
-                              executor=executor)
+            executor = Scheduler(backend="service", pools=[pool_b.path],
+                                 journal=journal, registry=registry)
+            resumed = sweep(executor)
             journal.close()
 
             jstats, xstats = journal.stats(), executor.stats()

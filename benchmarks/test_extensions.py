@@ -16,21 +16,28 @@ from dataclasses import replace
 from conftest import run_once
 
 from repro import bench_config
-from repro.harness import BenchmarkRunner, format_table
+from repro.harness import SCHEMES, SweepPlan, format_table
 
 
 def test_adaptive_interval(benchmark):
     def run():
-        rows = []
+        plan = SweepPlan(bench_config())
+        scheduled = []
         for latency in (70, 280):
             cfg = bench_config().with_memory_latency(latency)
             adaptive_cfg = replace(
                 cfg, prefetch=replace(cfg.prefetch, adaptive_interval=True)
             )
-            runner = BenchmarkRunner("health", cfg)
-            base = runner.run("base")
-            fixed = runner.run("hardware")
-            adaptive = BenchmarkRunner("health", adaptive_cfg).run("hardware")
+            scheduled.append((
+                latency,
+                plan.add_run("health", "base", cfg=cfg),
+                plan.add_run("health", "hardware", cfg=cfg),
+                plan.add_run("health", "hardware", cfg=adaptive_cfg),
+            ))
+        results = plan.execute()
+        rows = []
+        for latency, *runs in scheduled:
+            base, fixed, adaptive = map(results.scheme_run, runs)
             rows.append({
                 "latency": latency,
                 "fixed interval 8": round(fixed.normalized(base.total), 3),
@@ -50,8 +57,10 @@ def test_adaptive_interval(benchmark):
 
 def test_spmv_generalization(benchmark):
     def run():
-        runner = BenchmarkRunner("spmv", bench_config())
-        matrix = runner.run_matrix()
+        plan = SweepPlan(bench_config())
+        scheduled = {s: plan.add_run("spmv", s) for s in SCHEMES}
+        results = plan.execute()
+        matrix = {s: results.scheme_run(sr) for s, sr in scheduled.items()}
         base = matrix["base"]
         return [
             {

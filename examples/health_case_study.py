@@ -15,13 +15,24 @@ Run:  python examples/health_case_study.py
 """
 
 from repro import bench_config
-from repro.harness import BenchmarkRunner, format_table, normalized_bar
+from repro.harness import SweepPlan, format_table, normalized_bar
+
+IMPLS = (("sw", "software"), ("coop", "cooperative"))
+IDIOMS = ("queue", "full", "chain", "root")
 
 
 def main() -> None:
-    cfg = bench_config()
-    runner = BenchmarkRunner("health", cfg)
-    base = runner.run("base")
+    # Plan every run up front; one serial sweep then simulates each
+    # program variant's compute-time run once.
+    plan = SweepPlan(bench_config())
+    base_sr = plan.add_run("health", "base")
+    configs = [
+        (f"{impl}:{idiom}",
+         plan.add_variant_run("health", f"{impl}:{idiom}", engine))
+        for impl, engine in IMPLS for idiom in IDIOMS
+    ] + [(s, plan.add_run("health", s)) for s in ("hardware", "dbp")]
+    results = plan.execute()
+    base = results.scheme_run(base_sr)
 
     rows = [{
         "config": "unoptimized",
@@ -30,22 +41,11 @@ def main() -> None:
         "memory": base.memory,
         "bar": normalized_bar(1.0),
     }]
-    for impl, engine in (("sw", "software"), ("coop", "cooperative")):
-        for idiom in ("queue", "full", "chain", "root"):
-            run = runner.run_variant(f"{impl}:{idiom}", engine)
-            n = run.normalized(base.total)
-            rows.append({
-                "config": f"{impl}:{idiom}",
-                "normalized": round(n, 3),
-                "compute": run.compute,
-                "memory": run.memory,
-                "bar": normalized_bar(n),
-            })
-    for scheme in ("hardware", "dbp"):
-        run = runner.run(scheme)
+    for config, sr in configs:
+        run = results.scheme_run(sr)
         n = run.normalized(base.total)
         rows.append({
-            "config": scheme,
+            "config": config,
             "normalized": round(n, 3),
             "compute": run.compute,
             "memory": run.memory,

@@ -12,19 +12,30 @@ Run:  python examples/latency_scaling.py
 """
 
 from repro import bench_config
-from repro.harness import BenchmarkRunner, format_table
+from repro.harness import SweepPlan, format_table
+
+LATENCIES = (35, 70, 140, 280)
+SCHEMES = ("base", "software", "hardware", "dbp")
 
 
 def main() -> None:
     base_cfg = bench_config()
+    plan = SweepPlan(base_cfg)
+    scheduled = {
+        latency: {
+            scheme: plan.add_run(
+                "health", scheme, cfg=base_cfg.with_memory_latency(latency))
+            for scheme in SCHEMES
+        }
+        for latency in LATENCIES
+    }
+    results = plan.execute()
     rows = []
-    for latency in (35, 70, 140, 280):
-        cfg = base_cfg.with_memory_latency(latency)
-        runner = BenchmarkRunner("health", cfg)
-        base = runner.run("base")
+    for latency, srs in scheduled.items():
+        base = results.scheme_run(srs["base"])
         row = {"mem latency": latency, "base cycles": base.total}
-        for scheme in ("software", "hardware", "dbp"):
-            run = runner.run(scheme)
+        for scheme in SCHEMES[1:]:
+            run = results.scheme_run(srs[scheme])
             row[f"{scheme} stall cut%"] = round(
                 100 * run.memory_reduction(base.memory), 1
             )

@@ -58,26 +58,23 @@ from .harness import (
     SCHEMES,
     scheme_names,
     BackendError,
-    BenchmarkRunner,
     ResultCache,
     SCHEME_REGISTRY,
+    Scheduler,
+    SchemeRun,
     SpecError,
-    SweepExecutor,
     SweepJournal,
+    SweepPlan,
     compile_spec,
     creation_overhead,
-    figure4,
-    figure5,
     figure5_summary,
-    figure6,
-    figure7,
     format_table,
     is_tournament_spec,
     load_spec,
     onchip_table_ablation,
     parse_fault_plan,
+    run_scheme,
     spec_artifact,
-    table1,
     tournament_summary,
     traversal_count_sweep,
 )
@@ -194,14 +191,31 @@ def cmd_list(args) -> int:
     return 0
 
 
+def _scheme_runs(
+    args, cfg, schemes: tuple[str, ...], telemetry: bool = False,
+    progress=None,
+) -> dict[str, SchemeRun]:
+    """Run ``schemes`` of ``args.workload`` through one serial, uncached
+    sweep (the compute-time run of a program variant is shared)."""
+    plan = SweepPlan(cfg)
+    params = _workload_params(args)
+    scheduled = {
+        scheme: plan.add_run(args.workload, scheme, params, args.idiom,
+                             telemetry=telemetry)
+        for scheme in schemes
+    }
+    results = plan.execute(Scheduler(progress=progress))
+    return {scheme: results.scheme_run(sr) for scheme, sr in scheduled.items()}
+
+
 def cmd_run(args) -> int:
     cfg = _config(args)
-    runner = BenchmarkRunner(args.workload, cfg, _workload_params(args))
     schemes = SCHEMES if args.all else (args.scheme,)
-    base = runner.run("base")
+    runs = _scheme_runs(args, cfg, ("base",) + schemes)
+    base = runs["base"]
     rows = []
     for scheme in schemes:
-        run = base if scheme == "base" else runner.run(scheme, args.idiom)
+        run = runs[scheme]
         rows.append({
             "scheme": scheme,
             "variant": run.variant,
@@ -234,16 +248,12 @@ def _run_meta(args) -> dict:
 
 def cmd_stats(args) -> int:
     """Run with full telemetry; emit tables or a schema-stable artifact."""
-    cfg = _config(args)
-    runner = BenchmarkRunner(args.workload, cfg, _workload_params(args))
     schemes = (args.scheme,) if args.scheme else SCHEMES
-    runs = {}
-    base_total = None
-    for scheme in schemes:
-        print(f"  running {args.workload}/{scheme} ...", file=sys.stderr)
-        runs[scheme] = runner.run(scheme, args.idiom, telemetry=Telemetry())
-        if scheme == "base":
-            base_total = runs[scheme].total
+    runs = _scheme_runs(
+        args, _config(args), schemes, telemetry=True,
+        progress=lambda line: print(f"  {line}", file=sys.stderr),
+    )
+    base_total = runs["base"].total if "base" in runs else None
     if args.json:
         engines = {}
         for scheme, run in runs.items():
@@ -307,10 +317,10 @@ def cmd_stats(args) -> int:
 
 def cmd_trace(args) -> int:
     """Run one scheme with event tracing; write a Chrome trace file."""
-    cfg = _config(args)
-    runner = BenchmarkRunner(args.workload, cfg, _workload_params(args))
     trace = EventTrace(limit=args.limit)
-    run = runner.run(args.scheme, args.idiom, telemetry=Telemetry(trace=trace))
+    run = run_scheme(args.workload, args.scheme, _config(args),
+                     _workload_params(args), args.idiom,
+                     telemetry=Telemetry(trace=trace))
     out = args.output or f"{args.workload}-{args.scheme}.trace.json"
     trace.dump(out)
     print(f"wrote {out}: {len(trace)} events "
@@ -320,8 +330,8 @@ def cmd_trace(args) -> int:
 
 
 def _journal_path(args, name: str | None = None) -> Path:
-    """Default journal location: one file per figure command (or per
-    spec name) under the cache root, so ``--resume`` needs no path
+    """Default journal location: one file per spec name (or per x1/x2
+    command) under the cache root, so ``--resume`` needs no path
     bookkeeping."""
     if args.journal:
         return Path(args.journal)
@@ -331,7 +341,7 @@ def _journal_path(args, name: str | None = None) -> Path:
     return root / "journals" / f"{name or args.command}.jsonl"
 
 
-def _build_executor(args, journal_name: str | None = None) -> SweepExecutor:
+def _build_executor(args, journal_name: str | None = None) -> Scheduler:
     """--jobs/--cache/--timeout/--retries/--resume/--inject-faults
     plumbing shared by figure commands.  One obs registry spans the
     cache, the journal, and the executor so a single dump shows the
@@ -357,7 +367,7 @@ def _build_executor(args, journal_name: str | None = None) -> SweepExecutor:
     faults = parse_fault_plan(args.inject_faults)
     if faults is not None:
         print(f"  injecting faults: {faults.describe()}", file=sys.stderr)
-    return SweepExecutor(
+    return Scheduler(
         jobs=args.jobs,
         cache=cache,
         progress=progress,
@@ -374,7 +384,7 @@ def _build_executor(args, journal_name: str | None = None) -> SweepExecutor:
     )
 
 
-def _sweep_footer(executor: SweepExecutor) -> None:
+def _sweep_footer(executor: Scheduler) -> None:
     if executor.cache is not None:
         print(f"  {executor.cache.describe()}", file=sys.stderr)
     if executor.journal is not None:
@@ -395,16 +405,21 @@ def _parse_override_value(text: str):
             return text
 
 
-#: Default tournament spec, resolved against the repo checkout (the CLI
-#: runs from anywhere; a cwd-relative path is tried first).
-_TOURNAMENT_SPEC = "examples/specs/tournament.toml"
+#: The paper's artifacts: each command runs the shipped spec file of the
+#: same name, exactly as ``run-spec`` would.
+PAPER_SPECS = ("table1", "figure4", "figure5", "figure6", "figure7")
+
+#: Every command that defaults to a shipped spec file of its own name.
+SPEC_ALIASES = PAPER_SPECS + ("tournament",)
 
 
-def _default_tournament_spec() -> Path:
-    local = Path(_TOURNAMENT_SPEC)
-    if local.exists():
-        return local
-    return Path(__file__).resolve().parents[2] / _TOURNAMENT_SPEC
+def _shipped_spec(name: str) -> Path:
+    """``examples/specs/<name>.toml``, resolved against the repo checkout
+    (the CLI runs from anywhere; a cwd-relative path is tried first)."""
+    rel = Path("examples/specs") / f"{name}.toml"
+    if rel.exists():
+        return rel
+    return Path(__file__).resolve().parents[2] / rel
 
 
 def cmd_run_spec(args) -> int:
@@ -412,8 +427,8 @@ def cmd_run_spec(args) -> int:
         # ``repro submit`` is ``run-spec`` pinned to the service
         # backend: cells ship to long-lived ``repro serve`` pools.
         args.backend = "service"
-    if args.command == "tournament" and args.spec is None:
-        args.spec = _default_tournament_spec()
+    if args.spec is None:
+        args.spec = _shipped_spec(args.command)
     spec = load_spec(args.spec)
     if args.command == "tournament" and not is_tournament_spec(spec):
         raise SystemExit(
@@ -421,24 +436,34 @@ def cmd_run_spec(args) -> int:
             "telemetry = true, scheme-labeled matrix rows, and the "
             "normalized/issued/outcome columns)"
         )
-    if args.machine:
-        spec = spec.with_machine(args.machine)
+    machine = args.machine or ("table2" if args.table2 else None)
+    if machine:
+        spec = spec.with_machine(machine)
     if args.small:
         spec = spec.small()
-    if args.set:
-        extra = {}
-        for item in args.set:
-            key, sep, value = item.partition("=")
-            if not sep:
-                raise SystemExit(f"--set expects path=value, got {item!r}")
-            extra[key] = _parse_override_value(value)
+    # The global machine flags are overrides like any other, and
+    # explicit --set paths win over them.
+    extra = {}
+    if args.memory_latency:
+        extra["memory_latency"] = args.memory_latency
+    if args.interval:
+        extra["prefetch.jump_interval"] = args.interval
+    for item in args.set:
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise SystemExit(f"--set expects path=value, got {item!r}")
+        extra[key] = _parse_override_value(value)
+    if extra:
         spec = replace(spec, overrides={**spec.overrides, **extra})
     executor = _build_executor(args, journal_name=f"spec-{spec.name}")
     compiled = compile_spec(spec)
     print(f"  {args.spec}: {len(compiled.rows)} rows over "
           f"{compiled.cell_count} distinct cells", file=sys.stderr)
-    rows = compiled.execute(executor=executor)
+    rows = compiled.execute(executor)
     print(format_table(rows, spec.title or spec.name))
+    if args.command == "figure5":
+        print()
+        print(format_table(figure5_summary(rows), "Memory-bound averages"))
     summary = None
     if is_tournament_spec(spec):
         summary = tournament_summary(rows, label_key=spec.label_key)
@@ -581,16 +606,13 @@ def cmd_audit(args) -> int:
 def cmd_profile(args) -> int:
     """Run one scheme under the cycle-attribution profiler: CPI stack,
     ranked hot load sites, per-level latency — conservation audited."""
-    cfg = _config(args)
-    runner = BenchmarkRunner(args.workload, cfg, _workload_params(args))
     trace = EventTrace(limit=args.limit) if args.trace else None
-    profiler = Profiler()
     auditor = Auditor(interval=args.every)
-    run = runner.run(
-        args.scheme,
+    run = run_scheme(
+        args.workload, args.scheme, _config(args), _workload_params(args),
         args.idiom,
         telemetry=Telemetry(trace=trace) if trace is not None else Telemetry(),
-        profile=profiler,
+        profile=Profiler(),
         audit=auditor,
     )
     profile = run.result.profile
@@ -712,35 +734,18 @@ def cmd_bench_diff(args) -> int:
     return 0
 
 
-def cmd_figure(args) -> int:
+def cmd_extension(args) -> int:
+    """X1/X2: the extension experiments, whose rows are not spec rows."""
     cfg = _config(args)
-    name = args.command
     executor = _build_executor(args)
-    sweep = {"executor": executor}
-    if name == "table1":
-        print(format_table(table1(cfg, **sweep),
-                           "Table 1 — benchmark characterization"))
-    elif name == "figure4":
-        print(format_table(figure4(cfg, **sweep), "Figure 4 — idiom comparison"))
-    elif name == "figure5":
-        rows = figure5(cfg, **sweep)
-        print(format_table(rows, "Figure 5 — implementation comparison"))
-        print()
-        print(format_table(figure5_summary(rows), "Memory-bound averages"))
-    elif name == "figure6":
-        print(format_table(figure6(cfg, **sweep),
-                           "Figure 6 — L1<->L2 bytes per instruction"))
-    elif name == "figure7":
-        print(format_table(figure7(cfg, **sweep),
-                           "Figure 7 — latency tolerance (health)"))
-    elif name == "x1":
-        print(format_table(onchip_table_ablation(cfg, **sweep),
+    if args.command == "x1":
+        print(format_table(onchip_table_ablation(cfg, executor=executor),
                            "X1 — on-chip jump-pointer table ablation"))
-    elif name == "x2":
-        print(format_table(creation_overhead(cfg, **sweep),
+    else:
+        print(format_table(creation_overhead(cfg, executor=executor),
                            "X2 — jump-pointer creation overhead"))
         print()
-        print(format_table(traversal_count_sweep(cfg, **sweep),
+        print(format_table(traversal_count_sweep(cfg, executor=executor),
                            "X2 — traversal-count sensitivity (treeadd)"))
     _sweep_footer(executor)
     return 0
@@ -824,20 +829,6 @@ def build_parser() -> argparse.ArgumentParser:
              "see examples/specs/",
     )
     spec_p.add_argument("spec", help="path to the spec file")
-    spec_p.add_argument("--machine", choices=machine_names(), default=None,
-                        help="run on this named machine instead of the "
-                             "spec's own")
-    spec_p.add_argument("--small", action="store_true",
-                        help="use every workload's quick test-size "
-                             "parameters (spec params still win)")
-    spec_p.add_argument("--set", action="append", default=[],
-                        metavar="PATH=VALUE",
-                        help="extra dotted-path machine override, e.g. "
-                             "--set prefetch.jump_interval=4 (repeatable)")
-    spec_p.add_argument("-o", "--output", default=None, metavar="FILE",
-                        help="also write the repro.experiment/1 artifact "
-                             "(rows + the spec that produced them)")
-
     tour = sub.add_parser(
         "tournament",
         help="race every scheme against every workload and rank them: "
@@ -847,19 +838,19 @@ def build_parser() -> argparse.ArgumentParser:
     tour.add_argument("spec", nargs="?", default=None,
                       help="tournament spec file (default: the shipped "
                            "examples/specs/tournament.toml)")
-    tour.add_argument("--machine", choices=machine_names(), default=None,
-                      help="run on this named machine instead of the "
-                           "spec's own")
-    tour.add_argument("--small", action="store_true",
-                      help="use every workload's quick test-size "
-                           "parameters (spec params still win)")
-    tour.add_argument("--set", action="append", default=[],
-                      metavar="PATH=VALUE",
-                      help="extra dotted-path machine override "
-                           "(repeatable)")
-    tour.add_argument("-o", "--output", default=None, metavar="FILE",
-                      help="also write the repro.experiment/1 artifact "
-                           "(rows + ranked summary in meta)")
+    submit = sub.add_parser(
+        "submit",
+        help="run an experiment spec on repro serve worker pools "
+             "(run-spec pinned to the service backend): ships compiled "
+             "cells as leased jobs, streams progress, assembles "
+             "through the shared result cache",
+    )
+    submit.add_argument("spec", help="path to the spec file")
+    for fig in PAPER_SPECS:
+        sub.add_parser(
+            fig, help=f"reproduce {fig}: run-spec on the shipped "
+                      f"examples/specs/{fig}.toml",
+        ).set_defaults(spec=None)
 
     serve = sub.add_parser(
         "serve",
@@ -882,27 +873,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trace event-buffer cap (default 1M)")
     serve.add_argument("--quiet", action="store_true",
                        help="do not narrate leases/results on stderr")
-
-    submit = sub.add_parser(
-        "submit",
-        help="run an experiment spec on repro serve worker pools "
-             "(run-spec pinned to the service backend): ships compiled "
-             "cells as leased jobs, streams progress, assembles "
-             "through the shared result cache",
-    )
-    submit.add_argument("spec", help="path to the spec file")
-    submit.add_argument("--machine", choices=machine_names(), default=None,
-                        help="run on this named machine instead of the "
-                             "spec's own")
-    submit.add_argument("--small", action="store_true",
-                        help="use every workload's quick test-size "
-                             "parameters (spec params still win)")
-    submit.add_argument("--set", action="append", default=[],
-                        metavar="PATH=VALUE",
-                        help="extra dotted-path machine override "
-                             "(repeatable)")
-    submit.add_argument("-o", "--output", default=None, metavar="FILE",
-                        help="also write the repro.experiment/1 artifact")
 
     audit = sub.add_parser(
         "audit",
@@ -995,15 +965,28 @@ def build_parser() -> argparse.ArgumentParser:
     bd.add_argument("-o", "--output", default=None, metavar="FILE",
                     help="write the repro.bench_diff/1 JSON artifact")
 
-    figure_help = {
-        "x1": "extension: on-chip jump-pointer table ablation",
-        "x2": "extension: creation overhead + traversal-count sweep",
-    }
-    for fig in ("table1", "figure4", "figure5", "figure6", "figure7", "x1",
-                "x2", "run-spec", "submit", "tournament"):
-        p = (sub.choices[fig] if fig in ("run-spec", "submit", "tournament")
-             else sub.add_parser(
-                 fig, help=figure_help.get(fig, f"reproduce {fig}")))
+    sub.add_parser("x1", help="extension: on-chip jump-pointer table "
+                              "ablation")
+    sub.add_parser("x2", help="extension: creation overhead + "
+                              "traversal-count sweep")
+    for name in ("run-spec", "submit") + SPEC_ALIASES:
+        p = sub.choices[name]
+        p.add_argument("--machine", choices=machine_names(), default=None,
+                       help="run on this named machine instead of the "
+                            "spec's own (wins over --table2)")
+        p.add_argument("--small", action="store_true",
+                       help="use every workload's quick test-size "
+                            "parameters (spec params still win)")
+        p.add_argument("--set", action="append", default=[],
+                       metavar="PATH=VALUE",
+                       help="extra dotted-path machine override, e.g. "
+                            "--set prefetch.jump_interval=4 (repeatable; "
+                            "wins over --memory-latency/--interval)")
+        p.add_argument("-o", "--output", default=None, metavar="FILE",
+                       help="also write the repro.experiment/1 artifact "
+                            "(rows + the spec that produced them)")
+    for name in ("run-spec", "submit", "x1", "x2") + SPEC_ALIASES:
+        p = sub.choices[name]
         p.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="run sweep cells across N worker processes "
                             "(default: 1, serial; 0 = cgroup/affinity-"
@@ -1030,7 +1013,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "of an interrupted run instead of starting over")
         p.add_argument("--journal", default=None, metavar="PATH",
                        help="checkpoint journal location (default: "
-                            "<cache-root>/journals/<figure>.jsonl)")
+                            "<cache-root>/journals/spec-<name>.jsonl, "
+                            "or <command>.jsonl for x1/x2)")
         p.add_argument("--inject-faults", default=None, metavar="PLAN",
                        help="deterministic fault plan for robustness drills: "
                             "'bench[/variant[/engine]]=kind[:times][@sec]' "
@@ -1073,7 +1057,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_stats(args)
         if args.command == "trace":
             return cmd_trace(args)
-        if args.command in ("run-spec", "submit", "tournament"):
+        if args.command in ("run-spec", "submit") + SPEC_ALIASES:
             return cmd_run_spec(args)
         if args.command == "serve":
             return cmd_serve(args)
@@ -1083,7 +1067,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_profile(args)
         if args.command == "bench-diff":
             return cmd_bench_diff(args)
-        return cmd_figure(args)
+        return cmd_extension(args)
     except SpecError as exc:
         raise SystemExit(f"error: {exc}") from None
     except BackendError as exc:

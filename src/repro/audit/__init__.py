@@ -40,6 +40,7 @@ from .gate import (
     audit_workloads,
     differential_check,
     fidelity_gate,
+    golden_drift,
     load_golden,
 )
 from .invariants import (
@@ -83,6 +84,7 @@ __all__ = [
     "differential_check",
     "evaluate_targets",
     "fidelity_gate",
+    "golden_drift",
     "figure5_observations",
     "flatten_report",
     "load_golden",

@@ -26,12 +26,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
-from ..config import get_machine
+from ..config import MachineConfig, get_machine
 from ..cpu.simulator import simulate
 from ..errors import WorkloadError
-from ..harness.executor import RunSpec
+from ..harness.executor import RunSpec, SweepPlan
 from ..harness.faults import FaultPlan
-from ..harness.runner import BenchmarkRunner
 from ..harness.schemes import scheme_names, scheme_plan
 from ..obs import Telemetry
 from ..workloads import get_workload, workload_class, workload_names
@@ -230,6 +229,56 @@ def differential_check(
 # Paper-fidelity gate over the golden cells
 # ----------------------------------------------------------------------
 
+def golden_drift(
+    label: str, entry: dict[str, Any], cfg: MachineConfig
+) -> list[dict[str, Any]]:
+    """Re-run one golden entry on ``cfg``; one row per drifted metric.
+
+    The entry's schemes are planned on a :class:`SweepPlan` and run by a
+    serial scheduler (no cache), so every number is freshly simulated.
+    An entry may pin its ``workload``, a software/cooperative ``idiom``,
+    and a non-default ``mshr_model``.  A failed cell raises
+    :class:`~repro.harness.cells.SweepError` with its traceback."""
+    if "mshr_model" in entry:
+        # Non-blocking pins carry their model next to the params.
+        cfg = cfg.with_overrides({"mshr_model": entry["mshr_model"]})
+    name = entry.get("workload", label)
+    idiom = entry.get("idiom")
+    plan = SweepPlan(cfg)
+    scheduled = {
+        scheme: plan.add_run(
+            name, scheme, entry["params"],
+            idiom if scheme in ("software", "cooperative") else None,
+        )
+        for scheme in sorted(entry["schemes"])
+    }
+    results = plan.execute()
+    rows: list[dict[str, Any]] = []
+    for scheme, sr in scheduled.items():
+        run = results.scheme_run(sr)
+        got = {
+            "cycles": run.total,
+            "compute": run.compute,
+            "instructions": run.result.instructions,
+        }
+        want = entry["schemes"][scheme]
+        for metric in GOLDEN_METRICS:
+            drift = got[metric] - want[metric]
+            if drift == 0:
+                continue
+            rows.append({
+                "cell": label,
+                "scheme": scheme,
+                "metric": metric,
+                "golden": want[metric],
+                "observed": got[metric],
+                "drift": f"{drift:+d}"
+                + (f" ({drift / want[metric]:+.2%})" if want[metric] else ""),
+                "ok": False,
+            })
+    return rows
+
+
 def fidelity_gate(
     golden_path: str | Path | None = None,
     machine: str = "small",
@@ -242,42 +291,9 @@ def fidelity_gate(
     mismatch".  ``ok`` is True only at zero drift (the timing model is
     pinned bit-exact).
     """
-    golden = load_golden(golden_path)
     cfg = get_machine(machine)
-    rows: list[dict[str, Any]] = []
-    for label, entry in sorted(golden.items()):
-        entry_cfg = cfg
-        if "mshr_model" in entry:
-            # Non-blocking pins carry their model next to the params.
-            entry_cfg = cfg.with_overrides(
-                {"mshr_model": entry["mshr_model"]}
-            )
-        runner = BenchmarkRunner(
-            entry.get("workload", label), entry_cfg, entry["params"]
-        )
-        idiom = entry.get("idiom")
-        for scheme, want in sorted(entry["schemes"].items()):
-            run = runner.run(
-                scheme,
-                idiom if scheme in ("software", "cooperative") else None,
-            )
-            got = {
-                "cycles": run.total,
-                "compute": run.compute,
-                "instructions": run.result.instructions,
-            }
-            for metric in GOLDEN_METRICS:
-                drift = got[metric] - want[metric]
-                if drift == 0:
-                    continue
-                rows.append({
-                    "cell": label,
-                    "scheme": scheme,
-                    "metric": metric,
-                    "golden": want[metric],
-                    "observed": got[metric],
-                    "drift": f"{drift:+d}"
-                    + (f" ({drift / want[metric]:+.2%})" if want[metric] else ""),
-                    "ok": False,
-                })
-    return rows
+    return [
+        row
+        for label, entry in sorted(load_golden(golden_path).items())
+        for row in golden_drift(label, entry, cfg)
+    ]

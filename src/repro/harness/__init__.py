@@ -1,4 +1,4 @@
-"""Experiment harness: scheme runner, per-figure experiments, reporting."""
+"""Experiment harness: specs, sweep planning and scheduling, reporting."""
 
 from .analysis import (
     StallLine,
@@ -18,7 +18,6 @@ from .executor import (
     ScheduledRun,
     Scheduler,
     SweepError,
-    SweepExecutor,
     SweepPlan,
     SweepResults,
     error_row,
@@ -34,26 +33,15 @@ from .faults import (
 )
 from .journal import SweepJournal
 from .experiments import (
-    FIGURE4_SUBJECTS,
     MEMORY_BOUND,
     creation_overhead,
-    figure4,
-    figure4_spec,
-    figure5,
-    figure5_spec,
     figure5_summary,
-    figure6,
-    figure6_spec,
-    figure7,
-    figure7_spec,
     onchip_table_ablation,
     small_params,
-    table1,
-    table1_spec,
     traversal_count_sweep,
 )
 from .reporting import format_table, normalized_bar, print_rows
-from .runner import SCHEMES, BenchmarkRunner, SchemeRun, run_scheme, scheme_plan
+from .runner import SCHEMES, SchemeRun, run_scheme, scheme_plan
 from .schemes import (
     SCHEME_REGISTRY,
     Scheme,
@@ -79,7 +67,6 @@ __all__ = [
     "Axis",
     "BACKENDS",
     "BackendError",
-    "BenchmarkRunner",
     "PROTOCOL",
     "Scheduler",
     "WorkerBackend",
@@ -104,7 +91,6 @@ __all__ = [
     "StallLine",
     "StallReport",
     "SweepError",
-    "SweepExecutor",
     "SweepPlan",
     "SweepResults",
     "WorkloadSel",
@@ -125,20 +111,11 @@ __all__ = [
     "speedup",
     "speedup_rows",
     "stall_report",
-    "FIGURE4_SUBJECTS",
     "MEMORY_BOUND",
     "SCHEMES",
     "SchemeRun",
     "creation_overhead",
-    "figure4",
-    "figure4_spec",
-    "figure5",
-    "figure5_spec",
     "figure5_summary",
-    "figure6",
-    "figure6_spec",
-    "figure7",
-    "figure7_spec",
     "format_table",
     "normalized_bar",
     "onchip_table_ablation",
@@ -147,7 +124,5 @@ __all__ = [
     "run_scheme",
     "scheme_plan",
     "small_params",
-    "table1",
-    "table1_spec",
     "traversal_count_sweep",
 ]

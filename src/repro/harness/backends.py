@@ -6,7 +6,8 @@ owns *where* it runs.  Three ship in the :data:`BACKENDS` registry:
 
 ``serial``
     In-process, one cell at a time — the default for ``--jobs 1`` and
-    trivial plans, bit-identical to the historical single-process path.
+    trivial plans.  Built programs are memoized per (benchmark, params,
+    variant), so the schemes of one variant share a single build.
 ``process`` (alias ``process-pool``)
     A local ``ProcessPoolExecutor`` fan-out with hung-worker reaping and
     crash recovery — the historical ``--jobs N`` path, now with cheap
@@ -154,9 +155,9 @@ def _worker_program(spec: RunSpec) -> Any:
     """The built program for ``spec``, memoized per worker process.
 
     Safe to reuse across cells: builds are deterministic and
-    ``simulate()`` treats the program as read-only (the in-process
-    :class:`~repro.harness.runner.BenchmarkRunner` has always reused
-    built variants the same way)."""
+    ``simulate()`` treats the program as read-only.  The serial backend
+    shares the memo with pool workers, so an in-process sweep builds
+    each program variant once too."""
     key = (spec.benchmark, spec.params, spec.variant)
     program = _worker_programs.get(key)
     if program is not None:
@@ -249,7 +250,8 @@ class SerialBackend(WorkerBackend):
                 sched._note_injection(spec, attempt)
                 sched._c_executed.inc()
                 start = time.monotonic()
-                out = run_cell(spec, attempt, sched.faults)
+                out = run_cell(spec, attempt, sched.faults,
+                               program_factory=lambda: _worker_program(spec))
                 elapsed = time.monotonic() - start
                 if out[0] == "ok" and (
                     sched.timeout is None or elapsed <= sched.timeout

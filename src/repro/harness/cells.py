@@ -211,11 +211,6 @@ def run_cell(
         return ("error", type(exc).__name__, traceback.format_exc())
 
 
-# Back-compat alias: PR-2/PR-3 era pool workers were submitted by this
-# private name.
-_run_cell = run_cell
-
-
 # ----------------------------------------------------------------------
 # Wire form: the compact cell identity shipped between processes
 # ----------------------------------------------------------------------

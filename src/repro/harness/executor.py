@@ -1,8 +1,9 @@
-"""Sweep execution facade: plans, the executor, and result assembly.
+"""Scheme-level sweep planning: :class:`SweepPlan` and its results.
 
-Historically this module was an 824-line monolith owning everything
-from the worker body to the process pool.  It is now the thin public
-face of a layered sweep service:
+Every experiment — a spec file, the X1/X2 extensions, ``repro
+run``/``stats`` and the golden gate — plans :class:`RunSpec` cells on a
+:class:`SweepPlan` and executes them through one
+:class:`~repro.harness.scheduler.Scheduler`.  The layers underneath:
 
 * :mod:`repro.harness.cells` — the cell vocabulary (:class:`RunSpec`,
   :class:`CellResult`, the ``run_cell`` worker body, wire payloads);
@@ -15,15 +16,7 @@ face of a layered sweep service:
 * :mod:`repro.harness.protocol` / :mod:`repro.harness.service` — the
   ``repro.job/1`` wire format and the ``repro serve`` worker pools.
 
-:class:`SweepExecutor` *is* the scheduler (a subclass adding nothing),
-kept under its historical name because every experiment, spec, CLI
-command, and test builds one.  All semantics — ``--jobs N``,
-``--resume`` journal replay, fault drills, retry/timeout accounting —
-are preserved bit-identically; sweeps gain ``backend=``/``pools=`` for
-service execution and ``jobs=0`` for cgroup/affinity-aware
-auto-detection.
-
-Guarantees (unchanged):
+Guarantees:
 
 * **Deterministic ordering** — results are keyed by spec and assembled
   in plan order, so serial, pooled, and service sweeps produce
@@ -35,9 +28,6 @@ Guarantees (unchanged):
   cells so an interrupted sweep resumes where it stopped.
 * **Error isolation** — a cell that raises becomes an error
   :class:`CellResult` instead of aborting the sweep.
-* **Bounded retry, per-cell timeouts, crash recovery, clean
-  interruption, narrated progress** — see :class:`Scheduler` and the
-  backends for the mechanics.
 """
 
 from __future__ import annotations
@@ -48,27 +38,15 @@ from typing import Any
 from ..config import MachineConfig
 from ..cpu.stats import SimResult
 from ..workloads import get_workload
-from .cache import ResultCache
-from .cells import (  # noqa: F401  (re-exported for back-compat)
-    Attempt,
+from .cells import (
     CellError,
     CellResult,
     RunSpec,
     SweepError,
-    _freeze_params,
     error_row,
-    run_cell,
 )
-from .cells import _run_cell  # noqa: F401  (historical pool-worker name)
 from .runner import SchemeRun, scheme_plan
 from .scheduler import Progress, Scheduler
-
-# Back-compat: the private attempt record under its pre-refactor name.
-_Attempt = Attempt
-
-
-class SweepExecutor(Scheduler):
-    """The sweep scheduler under its historical public name."""
 
 
 # ----------------------------------------------------------------------
@@ -89,10 +67,10 @@ class ScheduledRun:
 class SweepPlan:
     """Collects cells for one experiment, then executes them at once.
 
-    ``add_run``/``add_variant_run`` mirror ``BenchmarkRunner.run`` /
-    ``run_variant`` but defer execution: each returns a
-    :class:`ScheduledRun` handle that resolves to a full
-    :class:`~repro.harness.runner.SchemeRun` after :meth:`execute`.
+    ``add_run`` (a registered scheme) and ``add_variant_run`` (any
+    variant/engine pairing) each return a :class:`ScheduledRun` handle
+    that resolves to a full :class:`~repro.harness.runner.SchemeRun`
+    after :meth:`execute`.
     Compute-time cells (perfect data memory, no engine) are shared across
     schemes of the same program variant by deduplication.
     """
@@ -181,19 +159,10 @@ class SweepPlan:
         )
         return ScheduledRun(benchmark, scheme, variant, timing, compute)
 
-    def execute(
-        self,
-        jobs: int = 1,
-        cache: ResultCache | None = None,
-        progress: Progress | None = None,
-        executor: SweepExecutor | None = None,
-    ) -> "SweepResults":
-        """Execute the collected cells.  A fully-configured ``executor``
-        (timeout/retry/journal/faults/backend) takes precedence over the
-        simple ``jobs``/``cache``/``progress`` shorthand."""
-        if executor is None:
-            executor = SweepExecutor(jobs=jobs, cache=cache, progress=progress)
-        return SweepResults(executor.execute(self._specs))
+    def execute(self, executor: Scheduler | None = None) -> "SweepResults":
+        """Execute the collected cells through ``executor`` (default: a
+        serial, uncached :class:`Scheduler`)."""
+        return SweepResults((executor or Scheduler()).execute(self._specs))
 
 
 class SweepResults:
@@ -221,6 +190,15 @@ class SweepResults:
             self._cell_error(self.cells[run.timing])
             or self._cell_error(self.cells[run.compute])
         )
+
+    def resolve(
+        self, run: ScheduledRun
+    ) -> tuple[SchemeRun | None, CellError | None]:
+        """``(SchemeRun, None)`` on success, ``(None, error)`` on failure."""
+        err = self.error(run)
+        if err is not None:
+            return None, err
+        return self.scheme_run(run), None
 
     def scheme_run(self, run: ScheduledRun) -> SchemeRun:
         """Assemble the SchemeRun for ``run``; raises :class:`SweepError`
@@ -250,9 +228,7 @@ __all__ = [
     "ScheduledRun",
     "Scheduler",
     "SweepError",
-    "SweepExecutor",
     "SweepPlan",
     "SweepResults",
     "error_row",
-    "run_cell",
 ]

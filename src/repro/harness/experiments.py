@@ -1,24 +1,19 @@
-"""Experiment definitions: one function per paper table/figure.
+"""The paper's extension experiments, and Figure 5's headline averages.
 
-Every function returns plain data structures (lists of dicts) that the
-benchmark harnesses print with :mod:`repro.harness.reporting`, and that
-tests assert shape properties on.  See DESIGN.md section 4 for the
-experiment index and the expected shapes.
+Table 1 and Figures 4–7 are defined only by the spec files under
+``examples/specs/`` (run them with ``repro run-spec`` or the
+``repro table1``/``figure4``…``figure7`` aliases).  What stays here is
+what a spec row cannot express:
 
-All experiments route through the same plan → execute → assemble
-pipeline (:mod:`repro.harness.executor`): cells are planned up front,
-deduplicated (schemes of one benchmark share their compute-time run),
-optionally served from the on-disk :class:`~repro.harness.cache.
-ResultCache`, and executed serially or across ``jobs`` worker processes
-with identical row output either way.  A failed cell yields an error row
-(benchmark, scheme, error text) instead of aborting the sweep.
-
-The paper artifacts (``table1``, ``figure4``–``figure7``) are now thin
-wrappers: each builds the equivalent declarative
-:class:`~repro.harness.spec.ExperimentSpec` (the ``*_spec`` builders
-below) and hands it to :func:`~repro.harness.spec.run_spec`.  The same
-specs ship as files under ``examples/specs/`` for ``repro run-spec``;
-file and wrapper produce bit-identical rows.
+* :func:`figure5_summary` — the memory-bound averages printed under
+  Figure 5;
+* X1 (:func:`onchip_table_ablation`) and X2 (:func:`creation_overhead`,
+  :func:`traversal_count_sweep`), whose rows compare several runs of
+  one benchmark side by side.  They plan their cells on a
+  :class:`~repro.harness.executor.SweepPlan` and execute through a
+  :class:`~repro.harness.scheduler.Scheduler` (serial by default), so
+  they share its deduplication, result cache, retries and resume.  A
+  failed cell yields an error row instead of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -28,34 +23,13 @@ from typing import Any
 
 from ..config import MachineConfig, bench_config
 from ..workloads import workload_class
-from .cache import ResultCache
-from .executor import (
-    Progress,
-    ScheduledRun,
-    SweepExecutor,
-    SweepPlan,
-    SweepResults,
-    error_row,
-)
-from .runner import SCHEMES
-from .spec import Axis, ExperimentSpec, WorkloadSel, run_spec
-
-#: The paper's benchmark suite (the `spmv` extension workload is opt-in).
-OLDEN = ("bh", "bisort", "em3d", "health", "mst", "perimeter", "power",
-         "treeadd", "tsp", "voronoi")
+from .executor import SweepPlan, error_row
+from .scheduler import Scheduler
 
 #: Benchmarks with an appreciable memory-latency component — the set over
 #: which the paper computes its headline averages ("If we disregard bh,
 #: bisort, power, tsp and voronoi...", Section 4.2).
 MEMORY_BOUND = ("em3d", "health", "mst", "perimeter", "treeadd")
-
-#: Figure 4's idiom-comparison subjects: the benchmarks with more than one
-#: applicable idiom.
-FIGURE4_SUBJECTS = {
-    "health": ("queue", "full", "chain", "root"),
-    "mst": ("queue", "root"),
-    "em3d": ("queue",),
-}
 
 
 def small_params(name: str) -> dict[str, Any]:
@@ -63,123 +37,9 @@ def small_params(name: str) -> dict[str, Any]:
     return workload_class(name).test_params()
 
 
-def _resolve(
-    results: SweepResults, sr: ScheduledRun
-) -> tuple[Any, str | None]:
-    """(SchemeRun, None) on success, (None, traceback) on failure."""
-    err = results.error(sr)
-    if err is not None:
-        return None, err
-    return results.scheme_run(sr), None
-
-
 # ----------------------------------------------------------------------
-# Table 1 — benchmark characterization
+# Figure 5 — the paper's headline averages
 # ----------------------------------------------------------------------
-
-def table1_spec(
-    benchmarks: tuple[str, ...] | None = None,
-    params: dict[str, dict[str, Any]] | None = None,
-) -> ExperimentSpec:
-    """The declarative form of :func:`table1` (``examples/specs/table1.toml``)."""
-    return ExperimentSpec(
-        name="table1",
-        title="Table 1 — benchmark characterization",
-        kind="table1",
-        workloads=tuple(
-            WorkloadSel(name, params=dict((params or {}).get(name) or {}))
-            for name in benchmarks or OLDEN
-        ),
-    )
-
-
-def table1(
-    cfg: MachineConfig | None = None,
-    benchmarks: tuple[str, ...] | None = None,
-    params: dict[str, dict[str, Any]] | None = None,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-    progress: Progress | None = None,
-    executor: SweepExecutor | None = None,
-) -> list[dict[str, object]]:
-    return run_spec(table1_spec(benchmarks, params), cfg=cfg or bench_config(),
-                    jobs=jobs, cache=cache, progress=progress,
-                    executor=executor)
-
-
-# ----------------------------------------------------------------------
-# Figure 4 — comparing idioms (software and cooperative)
-# ----------------------------------------------------------------------
-
-def figure4_spec(
-    subjects: dict[str, tuple[str, ...]] | None = None,
-    params: dict[str, dict[str, Any]] | None = None,
-) -> ExperimentSpec:
-    """The declarative form of :func:`figure4` (``examples/specs/figure4.toml``)."""
-    return ExperimentSpec(
-        name="figure4",
-        title="Figure 4 — comparing idioms (software and cooperative)",
-        label_key="config",
-        workloads=tuple(
-            WorkloadSel(name, params=dict((params or {}).get(name) or {}),
-                        idioms=tuple(idioms))
-            for name, idioms in (subjects or FIGURE4_SUBJECTS).items()
-        ),
-        columns=("benchmark", "config", "normalized", "compute", "memory"),
-    )
-
-
-def figure4(
-    cfg: MachineConfig | None = None,
-    subjects: dict[str, tuple[str, ...]] | None = None,
-    params: dict[str, dict[str, Any]] | None = None,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-    progress: Progress | None = None,
-    executor: SweepExecutor | None = None,
-) -> list[dict[str, object]]:
-    return run_spec(figure4_spec(subjects, params), cfg=cfg or bench_config(),
-                    jobs=jobs, cache=cache, progress=progress,
-                    executor=executor)
-
-
-# ----------------------------------------------------------------------
-# Figure 5 — comparing implementations (+ DBP)
-# ----------------------------------------------------------------------
-
-def figure5_spec(
-    benchmarks: tuple[str, ...] | None = None,
-    params: dict[str, dict[str, Any]] | None = None,
-    schemes: tuple[str, ...] = SCHEMES,
-) -> ExperimentSpec:
-    """The declarative form of :func:`figure5` (``examples/specs/figure5.toml``)."""
-    return ExperimentSpec(
-        name="figure5",
-        title="Figure 5 — comparing implementations (+ DBP)",
-        workloads=tuple(
-            WorkloadSel(name, params=dict((params or {}).get(name) or {}))
-            for name in benchmarks or OLDEN
-        ),
-        schemes=tuple(schemes),
-        columns=("benchmark", "scheme", "variant", "normalized",
-                 "compute", "memory", "mem_reduction%"),
-    )
-
-
-def figure5(
-    cfg: MachineConfig | None = None,
-    benchmarks: tuple[str, ...] | None = None,
-    params: dict[str, dict[str, Any]] | None = None,
-    schemes: tuple[str, ...] = SCHEMES,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-    progress: Progress | None = None,
-    executor: SweepExecutor | None = None,
-) -> list[dict[str, object]]:
-    return run_spec(figure5_spec(benchmarks, params, schemes),
-                    cfg=cfg or bench_config(), jobs=jobs, cache=cache,
-                    progress=progress, executor=executor)
-
 
 def figure5_summary(rows: list[dict[str, object]]) -> list[dict[str, object]]:
     """The paper's headline averages over the memory-bound benchmarks."""
@@ -205,87 +65,6 @@ def figure5_summary(rows: list[dict[str, object]]) -> list[dict[str, object]]:
 
 
 # ----------------------------------------------------------------------
-# Figure 6 — bandwidth (bytes L1<->L2 per baseline dynamic instruction)
-# ----------------------------------------------------------------------
-
-def figure6_spec(
-    benchmarks: tuple[str, ...] | None = None,
-    params: dict[str, dict[str, Any]] | None = None,
-) -> ExperimentSpec:
-    """The declarative form of :func:`figure6` (``examples/specs/figure6.toml``).
-
-    The ``bytes/inst`` metric normalizes by the *original* (baseline)
-    program's instruction count so added prefetch instructions do not
-    bias the metric."""
-    return ExperimentSpec(
-        name="figure6",
-        title="Figure 6 — bandwidth (bytes L1<->L2 per baseline instruction)",
-        workloads=tuple(
-            WorkloadSel(name, params=dict((params or {}).get(name) or {}))
-            for name in benchmarks or OLDEN
-        ),
-        columns=("benchmark", "scheme", "bytes/inst"),
-    )
-
-
-def figure6(
-    cfg: MachineConfig | None = None,
-    benchmarks: tuple[str, ...] | None = None,
-    params: dict[str, dict[str, Any]] | None = None,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-    progress: Progress | None = None,
-    executor: SweepExecutor | None = None,
-) -> list[dict[str, object]]:
-    return run_spec(figure6_spec(benchmarks, params), cfg=cfg or bench_config(),
-                    jobs=jobs, cache=cache, progress=progress,
-                    executor=executor)
-
-
-# ----------------------------------------------------------------------
-# Figure 7 — tolerating longer latencies (health)
-# ----------------------------------------------------------------------
-
-def figure7_spec(
-    latencies: tuple[int, ...] = (70, 280),
-    intervals: tuple[int, ...] = (8, 16),
-    params: dict[str, Any] | None = None,
-) -> ExperimentSpec:
-    """The declarative form of :func:`figure7` (``examples/specs/figure7.toml``).
-
-    The interval axis is *linked*: one value sets both the machine's
-    ``prefetch.jump_interval`` and the workload's ``interval`` parameter
-    (the paper tunes the software in step with the hardware)."""
-    return ExperimentSpec(
-        name="figure7",
-        title="Figure 7 — tolerating longer latencies (health)",
-        workloads=(WorkloadSel("health", params=dict(params or {})),),
-        axes=(
-            Axis("latency", tuple(latencies), ("machine.memory_latency",)),
-            Axis("interval", tuple(intervals),
-                 ("machine.prefetch.jump_interval", "params.interval")),
-        ),
-        columns=("latency", "interval", "scheme", "total",
-                 "normalized", "mem_reduction%"),
-    )
-
-
-def figure7(
-    cfg: MachineConfig | None = None,
-    latencies: tuple[int, ...] = (70, 280),
-    intervals: tuple[int, ...] = (8, 16),
-    params: dict[str, Any] | None = None,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-    progress: Progress | None = None,
-    executor: SweepExecutor | None = None,
-) -> list[dict[str, object]]:
-    return run_spec(figure7_spec(latencies, intervals, params),
-                    cfg=cfg or bench_config(), jobs=jobs, cache=cache,
-                    progress=progress, executor=executor)
-
-
-# ----------------------------------------------------------------------
 # X1 — on-chip jump-pointer table ablation (Section 3.3)
 # ----------------------------------------------------------------------
 
@@ -294,10 +73,7 @@ def onchip_table_ablation(
     benchmarks: tuple[str, ...] = ("em3d", "health", "treeadd"),
     table_entries: int = 16384,
     params: dict[str, dict[str, Any]] | None = None,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-    progress: Progress | None = None,
-    executor: SweepExecutor | None = None,
+    executor: Scheduler | None = None,
 ) -> list[dict[str, object]]:
     cfg = cfg or bench_config()
     onchip_cfg = replace(
@@ -313,14 +89,13 @@ def onchip_table_ablation(
             plan.add_run(name, "hardware", p),
             plan.add_run(name, "hardware", p, cfg=onchip_cfg),
         ))
-    results = plan.execute(jobs=jobs, cache=cache, progress=progress,
-                           executor=executor)
+    results = plan.execute(executor)
 
     rows = []
     for name, base_sr, padding_sr, onchip_sr in scheduled:
-        base, e1 = _resolve(results, base_sr)
-        padding, e2 = _resolve(results, padding_sr)
-        onchip, e3 = _resolve(results, onchip_sr)
+        base, e1 = results.resolve(base_sr)
+        padding, e2 = results.resolve(padding_sr)
+        onchip, e3 = results.resolve(onchip_sr)
         err = e1 or e2 or e3
         if err is not None:
             rows.append(error_row(name, "hardware", err))
@@ -342,10 +117,7 @@ def creation_overhead(
     cfg: MachineConfig | None = None,
     benchmarks: tuple[str, ...] = ("health", "treeadd"),
     params: dict[str, dict[str, Any]] | None = None,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-    progress: Progress | None = None,
-    executor: SweepExecutor | None = None,
+    executor: Scheduler | None = None,
 ) -> list[dict[str, object]]:
     """A-priori slowdown of jump-pointer creation: the compute-time ratio
     of the instrumented program to the baseline (paper: ~12% for health)."""
@@ -357,13 +129,12 @@ def creation_overhead(
         scheduled.append((
             name, plan.add_run(name, "base", p), plan.add_run(name, "software", p)
         ))
-    results = plan.execute(jobs=jobs, cache=cache, progress=progress,
-                           executor=executor)
+    results = plan.execute(executor)
 
     rows = []
     for name, base_sr, sw_sr in scheduled:
-        base, e1 = _resolve(results, base_sr)
-        sw, e2 = _resolve(results, sw_sr)
+        base, e1 = results.resolve(base_sr)
+        sw, e2 = results.resolve(sw_sr)
         err = e1 or e2
         if err is not None:
             rows.append(error_row(name, "software", err))
@@ -380,10 +151,7 @@ def traversal_count_sweep(
     cfg: MachineConfig | None = None,
     passes: tuple[int, ...] = (1, 2, 4, 8),
     params: dict[str, Any] | None = None,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-    progress: Progress | None = None,
-    executor: SweepExecutor | None = None,
+    executor: Scheduler | None = None,
 ) -> list[dict[str, object]]:
     """Hardware vs cooperative JPP (and DBP) on treeadd as the number of
     traversals grows: hardware's *jump-pointer* half forfeits the first
@@ -399,15 +167,14 @@ def traversal_count_sweep(
             s: plan.add_run("treeadd", s, wparams)
             for s in ("base", "hardware", "cooperative", "dbp")
         }))
-    results = plan.execute(jobs=jobs, cache=cache, progress=progress,
-                           executor=executor)
+    results = plan.execute(executor)
 
     rows = []
     for p, per_scheme in scheduled:
         runs = {}
         err = None
         for scheme, sr in per_scheme.items():
-            runs[scheme], e = _resolve(results, sr)
+            runs[scheme], e = results.resolve(sr)
             err = err or e
         if err is not None:
             row = error_row("treeadd", "sweep", err)

@@ -27,9 +27,7 @@ from ..cpu.stats import SimResult
 from ..workloads import get_workload
 from .schemes import paper_scheme_names, scheme_plan
 
-__all__ = [
-    "SCHEMES", "BenchmarkRunner", "SchemeRun", "run_scheme", "scheme_plan",
-]
+__all__ = ["SCHEMES", "SchemeRun", "run_scheme", "scheme_plan"]
 
 
 def _schemes() -> tuple[str, ...]:
@@ -86,95 +84,36 @@ class SchemeRun:
         return d
 
 
-class BenchmarkRunner:
-    """Runs one workload's scheme matrix, caching compute-time runs per
-    program variant (base/hardware/dbp share the baseline's)."""
-
-    def __init__(
-        self,
-        name: str,
-        cfg: MachineConfig | None = None,
-        params: dict[str, Any] | None = None,
-    ) -> None:
-        self.name = name
-        self.cfg = cfg or bench_config()
-        self.workload = get_workload(name, **(params or {}))
-        self._compute_cache: dict[str, int] = {}
-        self._built: dict[str, Any] = {}
-
-    def _program(self, variant: str):
-        if variant not in self._built:
-            self._built[variant] = self.workload.build(variant)
-        return self._built[variant].program
-
-    def _compute_time(self, variant: str) -> int:
-        if variant not in self._compute_cache:
-            res = simulate(self._program(variant), self.cfg.perfect(), engine="none")
-            self._compute_cache[variant] = res.cycles
-        return self._compute_cache[variant]
-
-    def run(
-        self,
-        scheme: str,
-        idiom: str | None = None,
-        telemetry=None,
-        profile=None,
-        audit=None,
-    ) -> SchemeRun:
-        variant, engine = scheme_plan(self.workload, scheme, idiom)
-        result = simulate(
-            self._program(variant), self.cfg, engine=engine,
-            telemetry=telemetry, profile=profile, audit=audit,
-        )
-        return SchemeRun(
-            benchmark=self.name,
-            scheme=scheme,
-            variant=variant,
-            total=result.cycles,
-            compute=self._compute_time(variant),
-            result=result,
-        )
-
-    def run_variant(
-        self, variant: str, engine: str, telemetry=None, profile=None, audit=None
-    ) -> SchemeRun:
-        """Arbitrary variant/engine pairing (Figure 4 idiom comparison)."""
-        result = simulate(
-            self._program(variant), self.cfg, engine=engine,
-            telemetry=telemetry, profile=profile, audit=audit,
-        )
-        return SchemeRun(
-            benchmark=self.name,
-            scheme=f"{engine}:{variant}",
-            variant=variant,
-            total=result.cycles,
-            compute=self._compute_time(variant),
-            result=result,
-        )
-
-    def run_matrix(
-        self,
-        schemes: tuple[str, ...] = SCHEMES,
-        telemetry_factory: Any | None = None,
-    ) -> dict[str, SchemeRun]:
-        """Run every scheme; ``telemetry_factory`` (e.g. ``repro.obs.
-        Telemetry``) is called once per scheme so each run records its own
-        outcome counters into ``SchemeRun.result.telemetry``."""
-        return {
-            scheme: self.run(
-                scheme,
-                telemetry=telemetry_factory() if telemetry_factory else None,
-            )
-            for scheme in schemes
-        }
-
-
 def run_scheme(
     name: str,
     scheme: str,
     cfg: MachineConfig | None = None,
-    idiom: str | None = None,
     params: dict[str, Any] | None = None,
+    idiom: str | None = None,
+    telemetry=None,
+    profile=None,
+    audit=None,
 ) -> SchemeRun:
-    """One-shot convenience wrapper around :class:`BenchmarkRunner`."""
-    return BenchmarkRunner(name, cfg, params).run(scheme, idiom)
+    """One scheme run in-process, with live observers attached.
+
+    ``repro trace`` and ``repro profile`` need the ``EventTrace`` /
+    ``Profiler`` / ``Auditor`` objects themselves, which cannot travel
+    inside a :class:`~repro.harness.cells.RunSpec`; everything else
+    plans cells on a :class:`~repro.harness.executor.SweepPlan`."""
+    cfg = cfg or bench_config()
+    workload = get_workload(name, **(params or {}))
+    variant, engine = scheme_plan(workload, scheme, idiom)
+    program = workload.build(variant).program
+    result = simulate(
+        program, cfg, engine=engine,
+        telemetry=telemetry, profile=profile, audit=audit,
+    )
+    compute = simulate(program, cfg.perfect(), engine="none")
+    return SchemeRun(
+        benchmark=name,
+        scheme=scheme,
+        variant=variant,
+        total=result.cycles,
+        compute=compute.cycles,
+        result=result,
+    )

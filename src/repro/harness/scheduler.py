@@ -21,9 +21,6 @@ The mechanics of *where* a cell runs live in
 :mod:`repro.harness.backends`; the scheduler picks a backend (explicit
 ``backend=`` name/instance, else ``serial`` for ``--jobs 1`` or trivial
 plans, else the local process pool) and hands itself over.
-
-:class:`~repro.harness.executor.SweepExecutor` is the historical name
-for this class and remains the public entry point.
 """
 
 from __future__ import annotations

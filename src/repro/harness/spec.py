@@ -9,10 +9,9 @@ report.  Specs load from TOML or JSON files (``examples/specs/``), and
 :class:`~repro.harness.executor.SweepPlan`, so spec-driven runs inherit
 the executor's deduplication, on-disk result cache, process-pool
 parallelism, retries, timeouts, and checkpoint-resume without any code
-of their own.  The bespoke experiment functions (``table1``,
-``figure4``–``figure7``) are thin wrappers that build the equivalent
-spec in memory; a shipped spec file and its wrapper produce
-bit-identical rows.
+of their own.  The paper's Table 1 and Figures 4–7 are defined only as
+spec files (``examples/specs/``); ``repro table1``/``figure4``…
+``figure7`` run them.
 
 Spec documents have this shape (TOML shown; JSON is isomorphic)::
 
@@ -58,17 +57,15 @@ from ..config import MACHINES, MachineConfig, get_machine
 from ..errors import ReproError
 from ..obs import artifact
 from ..workloads import get_workload, workload_class
-from .cache import ResultCache
 from .executor import (
-    Progress,
     RunSpec,
     ScheduledRun,
-    SweepExecutor,
     SweepPlan,
     SweepResults,
     error_row,
 )
 from .runner import SchemeRun
+from .scheduler import Scheduler
 from .schemes import get_scheme, paper_scheme_names
 
 
@@ -420,11 +417,14 @@ def load_spec(path: str | Path) -> ExperimentSpec:
     if suffix == ".toml":
         try:
             import tomllib
-        except ImportError:  # pragma: no cover - Python 3.10 fallback
-            raise SpecError(
-                "TOML specs need Python 3.11+ (tomllib); "
-                "use the JSON spec form instead"
-            ) from None
+        except ImportError:  # pragma: no cover - Python 3.10
+            try:
+                import tomli as tomllib
+            except ImportError:
+                raise SpecError(
+                    "TOML specs need Python 3.11+ (tomllib) or the tomli "
+                    "package; use the JSON spec form instead"
+                ) from None
         try:
             with open(p, "rb") as f:
                 data = tomllib.load(f)
@@ -485,15 +485,9 @@ class CompiledSpec:
         return len(set(self.plan._specs))
 
     def execute(
-        self,
-        jobs: int = 1,
-        cache: ResultCache | None = None,
-        progress: Progress | None = None,
-        executor: SweepExecutor | None = None,
+        self, executor: Scheduler | None = None
     ) -> list[dict[str, object]]:
-        results = self.plan.execute(
-            jobs=jobs, cache=cache, progress=progress, executor=executor
-        )
+        results = self.plan.execute(executor)
         return assemble_rows(self.spec, self.rows, results)
 
 
@@ -631,16 +625,6 @@ def _plan_idiom_rows(
 # Assembly: cells -> rows
 # ----------------------------------------------------------------------
 
-def _resolve(
-    results: SweepResults, sr: ScheduledRun
-) -> tuple[SchemeRun | None, str | None]:
-    """(SchemeRun, None) on success, (None, traceback) on failure."""
-    err = results.error(sr)
-    if err is not None:
-        return None, err
-    return results.scheme_run(sr), None
-
-
 def assemble_rows(
     spec: ExperimentSpec,
     planned: list[_PlannedRow],
@@ -659,11 +643,11 @@ def assemble_rows(
             row.update(rp.axis)
             rows.append(row)
             continue
-        run, err = _resolve(results, rp.run)
+        run, err = results.resolve(rp.run)
         if rp.base is rp.run:
             base, base_err = run, err
         else:
-            base, base_err = _resolve(results, rp.base)
+            base, base_err = results.resolve(rp.base)
         failed = (
             err is not None
             or (need_base and base is None)
@@ -701,15 +685,10 @@ def assemble_rows(
 def run_spec(
     spec: ExperimentSpec,
     cfg: MachineConfig | None = None,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-    progress: Progress | None = None,
-    executor: SweepExecutor | None = None,
+    executor: Scheduler | None = None,
 ) -> list[dict[str, object]]:
     """Compile and execute ``spec``; returns the report rows."""
-    return compile_spec(spec, cfg).execute(
-        jobs=jobs, cache=cache, progress=progress, executor=executor
-    )
+    return compile_spec(spec, cfg).execute(executor)
 
 
 def spec_artifact(

@@ -2,11 +2,54 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+from pathlib import Path
+from typing import Any, Mapping, Sequence
+
 import pytest
 
 from repro import Assembler, MachineConfig, small_config
 from repro.config import CacheConfig
+from repro.harness import ExperimentSpec, WorkloadSel, load_spec
 from repro.isa.registers import A0, T0, T1, V0, ZERO
+
+#: The shipped experiment specs (Table 1, Figures 4-7, ...).
+SPEC_DIR = Path(__file__).resolve().parents[1] / "examples" / "specs"
+
+
+def shipped_spec(
+    name: str,
+    workloads: Sequence[str] | None = None,
+    params: Mapping[str, Mapping[str, Any]] | None = None,
+    idioms: Mapping[str, Sequence[str]] | None = None,
+    axes: Mapping[str, Sequence[Any]] | None = None,
+) -> ExperimentSpec:
+    """``examples/specs/<name>.toml``, cut down for a quick run.
+
+    ``workloads`` keeps only those workloads, in that order (a name the
+    file does not list is added bare); ``params`` merges per-workload
+    parameters over the file's; ``idioms`` replaces a workload's
+    figure-4 idiom list; ``axes`` replaces axis value lists by name."""
+    spec = load_spec(SPEC_DIR / f"{name}.toml")
+    if workloads is not None:
+        listed = {w.name: w for w in spec.workloads}
+        spec = replace(spec, workloads=tuple(
+            listed.get(n) or WorkloadSel(n) for n in workloads
+        ))
+    if idioms:
+        spec = replace(spec, workloads=tuple(
+            replace(w, idioms=tuple(idioms[w.name])) if w.name in idioms
+            else w
+            for w in spec.workloads
+        ))
+    if params:
+        spec = spec.with_workload_params(params)
+    if axes:
+        spec = replace(spec, axes=tuple(
+            replace(a, values=tuple(axes.get(a.name, a.values)))
+            for a in spec.axes
+        ))
+    return spec
 
 
 @pytest.fixture

@@ -78,9 +78,9 @@ def _write_spec(tmp_path, spec):
 
 
 def test_run_spec_end_to_end(tmp_path, capsys):
-    from repro.harness import figure5_spec
+    from tests.conftest import shipped_spec
 
-    spec = figure5_spec(benchmarks=("treeadd",))
+    spec = shipped_spec("figure5", ("treeadd",))
     path = _write_spec(tmp_path, spec)
     assert main(["run-spec", str(path), "--machine", "small", "--small",
                  "--no-cache", "--journal", str(tmp_path / "j.jsonl")]) == 0
@@ -116,6 +116,64 @@ def test_run_spec_artifact_and_set(tmp_path, capsys):
     assert len(doc["rows"]) == 2
     assert doc["rows"][0]["scheme"] == "base"
     assert doc["rows"][0]["normalized"] == 1.0
+
+
+def _tiny_treeadd_spec(tmp_path):
+    from repro.harness import ExperimentSpec, WorkloadSel
+    from repro.workloads import workload_class
+
+    return _write_spec(tmp_path, ExperimentSpec(
+        name="tiny", title="Tiny",
+        workloads=(WorkloadSel(
+            "treeadd", params=workload_class("treeadd").test_params()),),
+        schemes=("base",),
+        columns=("benchmark", "scheme", "total"),
+    ))
+
+
+def _run_spec_doc(tmp_path, *flags, sub=()):
+    """Run the tiny spec with global ``flags`` (before the subcommand)
+    and run-spec options ``sub``; returns the written artifact."""
+    import json
+
+    out_file = tmp_path / "result.json"
+    assert main([*flags, "run-spec", str(_tiny_treeadd_spec(tmp_path)),
+                 *sub, "--no-cache", "--journal", str(tmp_path / "j.jsonl"),
+                 "-o", str(out_file)]) == 0
+    return json.loads(out_file.read_text())
+
+
+def test_run_spec_honours_global_machine_flags(tmp_path, capsys):
+    plain = _run_spec_doc(tmp_path)
+    slow = _run_spec_doc(tmp_path, "--memory-latency", "400")
+    assert slow["spec"]["overrides"] == {"memory_latency": 400}
+    assert slow["rows"][0]["total"] > plain["rows"][0]["total"]
+
+    tuned = _run_spec_doc(tmp_path, "--table2", "--interval", "4")
+    assert tuned["meta"]["machine"] == "table2"
+    assert tuned["spec"]["overrides"] == {"prefetch.jump_interval": 4}
+
+
+def test_run_spec_explicit_options_win_over_global_flags(tmp_path, capsys):
+    doc = _run_spec_doc(tmp_path, "--table2", "--memory-latency", "400",
+                        sub=("--machine", "small",
+                             "--set", "memory_latency=140"))
+    assert doc["meta"]["machine"] == "small"
+    assert doc["spec"]["overrides"] == {"memory_latency": 140}
+
+
+def test_figure5_alias_matches_run_spec(tmp_path, capsys):
+    common = ["--machine", "small", "--small", "--no-cache",
+              "--journal", str(tmp_path / "j.jsonl")]
+    assert main(["run-spec", "examples/specs/figure5.toml", *common]) == 0
+    via_spec = capsys.readouterr().out
+    assert main(["figure5", *common]) == 0
+    via_alias = capsys.readouterr().out
+    table, sep, summary = via_alias.partition("\nMemory-bound averages\n")
+    assert sep, via_alias
+    assert table == via_spec
+    for scheme in ("software", "cooperative", "hardware", "dbp"):
+        assert scheme in summary
 
 
 def test_run_spec_bad_file_is_clean_error(tmp_path):

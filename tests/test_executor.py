@@ -1,4 +1,4 @@
-"""Sweep executor: serial/parallel parity, deduplication, error isolation."""
+"""Sweep execution: serial/parallel parity, deduplication, error isolation."""
 
 from dataclasses import replace
 
@@ -7,14 +7,14 @@ import pytest
 from repro import small_config
 from repro.harness import (
     RunSpec,
+    Scheduler,
     SweepError,
-    SweepExecutor,
     SweepPlan,
-    figure5,
-    figure7,
+    run_spec,
 )
 from repro.workloads import Workload, workload_class, workload_names
 from repro.workloads import registry as workload_registry
+from tests.conftest import shipped_spec
 
 SMALL = {name: workload_class(name).test_params() for name in workload_names()}
 FAST_SET = ("treeadd", "power", "health")
@@ -70,21 +70,23 @@ class TestDeduplication:
 class TestSerialParallelParity:
     def test_figure5_rows_identical(self, cfg):
         params = {n: SMALL[n] for n in FAST_SET}
-        serial = figure5(cfg, benchmarks=FAST_SET, params=params)
-        parallel = figure5(cfg, benchmarks=FAST_SET, params=params, jobs=4)
+        spec = shipped_spec("figure5", FAST_SET, params)
+        serial = run_spec(spec, cfg)
+        parallel = run_spec(spec, cfg, Scheduler(jobs=4))
         assert serial == parallel
 
     def test_figure7_rows_identical(self, cfg):
-        serial = figure7(cfg, latencies=(70,), intervals=(8,),
-                         params=SMALL["health"])
-        parallel = figure7(cfg, latencies=(70,), intervals=(8,),
-                           params=SMALL["health"], jobs=4)
+        spec = shipped_spec("figure7", params=SMALL,
+                            axes={"latency": (70,), "interval": (8,)})
+        serial = run_spec(spec, cfg)
+        parallel = run_spec(spec, cfg, Scheduler(jobs=4))
         assert serial == parallel
 
     @pytest.mark.slow
     def test_full_suite_parity(self, cfg):
-        serial = figure5(cfg, params=SMALL)
-        parallel = figure5(cfg, params=SMALL, jobs=4)
+        spec = shipped_spec("figure5", params=SMALL)
+        serial = run_spec(spec, cfg)
+        parallel = run_spec(spec, cfg, Scheduler(jobs=4))
         assert serial == parallel
 
 
@@ -95,7 +97,7 @@ class TestErrorIsolation:
             RunSpec.make("treeadd", "baseline", "no-such-engine", cfg,
                          SMALL["treeadd"]),
         ]
-        cells = SweepExecutor().execute(specs)
+        cells = Scheduler().execute(specs)
         good, bad = cells[specs[0]], cells[specs[1]]
         assert good.ok and good.result.cycles > 0
         assert not bad.ok and "no-such-engine" in bad.error
@@ -113,8 +115,9 @@ class TestErrorIsolation:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_poisoned_worker_yields_error_row(self, cfg, poisoned, jobs):
-        rows = figure5(cfg, benchmarks=("treeadd", poisoned),
-                       params={"treeadd": SMALL["treeadd"]}, jobs=jobs)
+        spec = shipped_spec("figure5", ("treeadd", poisoned),
+                            {"treeadd": SMALL["treeadd"]})
+        rows = run_spec(spec, cfg, Scheduler(jobs=jobs))
         good = [r for r in rows if r["benchmark"] == "treeadd"]
         bad = [r for r in rows if r["benchmark"] == poisoned]
         # The healthy benchmark is untouched by its neighbour's failure...
@@ -129,8 +132,8 @@ class TestErrorIsolation:
 class TestProgress:
     def test_narration_counts_cells(self, cfg):
         lines = []
-        figure5(cfg, benchmarks=("treeadd",), params=SMALL,
-                progress=lines.append)
+        run_spec(shipped_spec("figure5", ("treeadd",), SMALL), cfg,
+                 Scheduler(progress=lines.append))
         # 5 schemes -> 5 timing + 3 distinct variants' compute cells.
         assert len(lines) == 8
         assert lines[-1].startswith("[8/8] ")

@@ -1,5 +1,6 @@
 """Experiment harness on reduced sizes: structural invariants of every
-table/figure generator."""
+table/figure (the shipped spec files, cut down) and of the X1/X2
+extension experiments."""
 
 import pytest
 
@@ -7,16 +8,13 @@ from repro import small_config
 from repro.harness import (
     SCHEMES,
     creation_overhead,
-    figure4,
-    figure5,
     figure5_summary,
-    figure6,
-    figure7,
     onchip_table_ablation,
-    table1,
+    run_spec,
     traversal_count_sweep,
 )
 from repro.workloads import workload_class, workload_names
+from tests.conftest import shipped_spec
 
 SMALL = {name: workload_class(name).test_params() for name in workload_names()}
 FAST_SET = ("treeadd", "power")
@@ -29,7 +27,7 @@ def cfg():
 
 class TestTable1:
     def test_rows_cover_benchmarks(self, cfg):
-        rows = table1(cfg, benchmarks=FAST_SET, params=SMALL)
+        rows = run_spec(shipped_spec("table1", FAST_SET, SMALL), cfg)
         assert [r["benchmark"] for r in rows] == list(FAST_SET)
         for r in rows:
             assert 0 <= r["%lds loads"] <= 100
@@ -39,9 +37,9 @@ class TestTable1:
 
 class TestFigure4:
     def test_idiom_rows(self, cfg):
-        rows = figure4(
-            cfg, subjects={"health": ("queue", "root")}, params=SMALL
-        )
+        spec = shipped_spec("figure4", ("health",), SMALL,
+                            idioms={"health": ("queue", "root")})
+        rows = run_spec(spec, cfg)
         configs = {r["config"] for r in rows}
         assert {"base", "sw:queue", "sw:root", "coop:queue", "coop:root"} <= configs
         base = [r for r in rows if r["config"] == "base"][0]
@@ -51,7 +49,9 @@ class TestFigure4:
             assert r["memory"] >= 0
 
     def test_unavailable_variants_skipped(self, cfg):
-        rows = figure4(cfg, subjects={"treeadd": ("queue", "root")}, params=SMALL)
+        spec = shipped_spec("figure4", ("treeadd",), SMALL,
+                            idioms={"treeadd": ("queue", "root")})
+        rows = run_spec(spec, cfg)
         configs = {r["config"] for r in rows}
         assert "sw:root" not in configs  # treeadd has no root variant
         assert "sw:queue" in configs
@@ -59,7 +59,7 @@ class TestFigure4:
 
 class TestFigure5:
     def test_all_schemes_per_benchmark(self, cfg):
-        rows = figure5(cfg, benchmarks=FAST_SET, params=SMALL)
+        rows = run_spec(shipped_spec("figure5", FAST_SET, SMALL), cfg)
         assert len(rows) == len(FAST_SET) * len(SCHEMES)
         for r in rows:
             if r["scheme"] == "base":
@@ -67,7 +67,7 @@ class TestFigure5:
             assert r["compute"] > 0
 
     def test_summary_shapes(self, cfg):
-        rows = figure5(cfg, benchmarks=("treeadd",), params=SMALL)
+        rows = run_spec(shipped_spec("figure5", ("treeadd",), SMALL), cfg)
         # patch benchmark set for summary computation
         summary = figure5_summary(
             [dict(r, benchmark="treeadd") for r in rows]
@@ -78,7 +78,7 @@ class TestFigure5:
 
 class TestFigure6:
     def test_bandwidth_rows(self, cfg):
-        rows = figure6(cfg, benchmarks=("treeadd",), params=SMALL)
+        rows = run_spec(shipped_spec("figure6", ("treeadd",), SMALL), cfg)
         assert len(rows) == len(SCHEMES)
         for r in rows:
             assert r["bytes/inst"] >= 0
@@ -86,10 +86,9 @@ class TestFigure6:
 
 class TestFigure7:
     def test_latency_interval_grid(self, cfg):
-        rows = figure7(
-            cfg, latencies=(70, 140), intervals=(4,),
-            params=workload_class("health").test_params(),
-        )
+        spec = shipped_spec("figure7", params=SMALL,
+                            axes={"latency": (70, 140), "interval": (4,)})
+        rows = run_spec(spec, cfg)
         assert len(rows) == 2 * 1 * len(SCHEMES)
         base70 = next(
             r for r in rows if r["latency"] == 70 and r["scheme"] == "base"

@@ -22,17 +22,18 @@ from repro.harness import (
     FaultPlanError,
     FaultSpec,
     RunSpec,
-    SweepExecutor,
+    Scheduler,
     SweepJournal,
     SweepPlan,
     TransientFault,
-    figure5,
     parse_fault_plan,
+    run_spec,
     spec_key,
 )
 from repro.harness.journal import SCHEMA as JOURNAL_SCHEMA
 from repro.obs import MetricRegistry
 from repro.workloads import workload_class
+from tests.conftest import shipped_spec
 
 PAIR = ("treeadd", "power")
 SMALL = {name: workload_class(name).test_params() for name in PAIR}
@@ -49,20 +50,21 @@ def cfg():
     return small_config()
 
 
+def pair_rows(cfg, executor=None):
+    """The shipped Figure 5 on the PAIR benchmarks at test size."""
+    return run_spec(shipped_spec("figure5", PAIR, SMALL), cfg, executor)
+
+
 @pytest.fixture(scope="module")
 def clean_rows(cfg):
-    return figure5(cfg, benchmarks=PAIR, params=SMALL)
-
-
-def faulty_figure5(cfg, executor):
-    return figure5(cfg, benchmarks=PAIR, params=SMALL, executor=executor)
+    return pair_rows(cfg)
 
 
 def make_executor(**kw):
     kw.setdefault("backoff", 0.0)
     kw.setdefault("sleep", lambda s: None)
     kw.setdefault("registry", MetricRegistry())
-    return SweepExecutor(**kw)
+    return Scheduler(**kw)
 
 
 # ----------------------------------------------------------------------
@@ -153,7 +155,7 @@ class TestTransientRetry:
                       kind="transient", times=1),
         )
         ex = make_executor(jobs=jobs, retries=2, faults=faults)
-        assert faulty_figure5(cfg, ex) == clean_rows
+        assert pair_rows(cfg, ex) == clean_rows
         stats = ex.stats()
         # treeadd/hardware timing cell twice + power sw timing cell once.
         assert stats["retries"] == 3
@@ -166,7 +168,7 @@ class TestTransientRetry:
             FaultSpec("power", engine="dbp", kind="transient", times=5),
         )
         ex = make_executor(retries=1, faults=faults)
-        rows = faulty_figure5(cfg, ex)
+        rows = pair_rows(cfg, ex)
         bad = [r for r in rows if r.get("error")]
         assert len(bad) == 1 and bad[0]["benchmark"] == "power"
         assert bad[0]["scheme"] == "dbp"
@@ -183,12 +185,12 @@ class TestTransientRetry:
         faults = FaultPlan.of(
             FaultSpec("treeadd", engine="hardware", kind="transient", times=3),
         )
-        ex = SweepExecutor(retries=3, backoff=0.25, faults=faults,
-                           sleep=delays.append, registry=MetricRegistry())
+        ex = Scheduler(retries=3, backoff=0.25, faults=faults,
+                       sleep=delays.append, registry=MetricRegistry())
         plan = SweepPlan(cfg)
         plan.add(RunSpec.make("treeadd", "baseline", "hardware", cfg,
                               SMALL["treeadd"]))
-        plan.execute(executor=ex)
+        plan.execute(ex)
         assert delays == [0.25, 0.5, 1.0]
 
 
@@ -202,7 +204,7 @@ class TestCrashRecovery:
             FaultSpec("treeadd", engine="cooperative", kind="crash", times=1),
         )
         ex = make_executor(retries=1, faults=faults)
-        assert faulty_figure5(cfg, ex) == clean_rows
+        assert pair_rows(cfg, ex) == clean_rows
         assert ex.stats()["retries"] == 1
         assert ex.stats()["pool_breaks"] == 0   # in-process: no pool involved
 
@@ -213,7 +215,7 @@ class TestCrashRecovery:
         # A dying worker fails every in-flight cell of its pool: give the
         # innocent bystanders retry budget too.
         ex = make_executor(jobs=2, retries=3, faults=faults)
-        assert faulty_figure5(cfg, ex) == clean_rows
+        assert pair_rows(cfg, ex) == clean_rows
         stats = ex.stats()
         assert stats["pool_breaks"] >= 1
         assert stats["retries"] >= 1
@@ -224,7 +226,7 @@ class TestCrashRecovery:
             FaultSpec("treeadd", engine="cooperative", kind="crash", times=1),
         )
         ex = make_executor(jobs=2, retries=0, faults=faults)
-        rows = faulty_figure5(cfg, ex)
+        rows = pair_rows(cfg, ex)
         bad = [r for r in rows if r.get("error")]
         assert bad, "the crash must surface as at least one error row"
         assert any(r["error_kind"] == "BrokenProcessPool" for r in bad)
@@ -243,7 +245,7 @@ class TestHangTimeout:
             FaultSpec("power", engine="dbp", kind="hang", times=1, seconds=1.2),
         )
         ex = make_executor(retries=1, timeout=0.6, faults=faults)
-        assert faulty_figure5(cfg, ex) == clean_rows
+        assert pair_rows(cfg, ex) == clean_rows
         assert ex.stats()["timeouts"] == 1
         assert ex.stats()["retries"] == 1
 
@@ -256,7 +258,7 @@ class TestHangTimeout:
         )
         ex = make_executor(jobs=2, retries=1, timeout=2.0, faults=faults)
         start = time.monotonic()
-        rows = faulty_figure5(cfg, ex)
+        rows = pair_rows(cfg, ex)
         elapsed = time.monotonic() - start
         assert rows == clean_rows
         assert elapsed < 60.0, f"hung worker was waited out ({elapsed:.0f}s)"
@@ -271,7 +273,7 @@ class TestHangTimeout:
                       seconds=120.0),
         )
         ex = make_executor(jobs=2, retries=1, timeout=1.0, faults=faults)
-        rows = faulty_figure5(cfg, ex)
+        rows = pair_rows(cfg, ex)
         bad = [r for r in rows if r.get("error")]
         assert len(bad) == 1
         assert bad[0]["error_kind"] == "TimeoutError"
@@ -290,7 +292,7 @@ class TestCorruptCacheEntry:
 
         cache = ResultCache(tmp_path / "cache", registry=MetricRegistry())
         warm = make_executor(cache=cache)
-        assert faulty_figure5(cfg, warm) == clean_rows
+        assert pair_rows(cfg, warm) == clean_rows
         writes_before = cache.stats()["writes"]
         assert writes_before == PAIR_CELLS
 
@@ -298,7 +300,7 @@ class TestCorruptCacheEntry:
             FaultSpec("treeadd", "baseline", "hardware", kind="corrupt"),
         )
         ex = make_executor(jobs=jobs, cache=cache, faults=faults)
-        assert faulty_figure5(cfg, ex) == clean_rows
+        assert pair_rows(cfg, ex) == clean_rows
         stats = cache.stats()
         assert stats["invalid"] == 1                  # clobber detected
         assert stats["writes"] == writes_before + 1   # fresh result re-stored
@@ -323,7 +325,7 @@ class TestErrorKinds:
         plan = SweepPlan(cfg)
         bad = plan.add(RunSpec.make("treeadd", "baseline", "no-such-engine",
                                     cfg, SMALL["treeadd"]))
-        results = plan.execute(executor=make_executor())
+        results = plan.execute(make_executor())
         err = results.error(bad)
         assert err is not None and err.kind == "ConfigError"
         assert "no-such-engine" in err    # still a usable string
@@ -331,7 +333,7 @@ class TestErrorKinds:
     def test_error_rows_greppable_by_kind(self, cfg):
         faults = FaultPlan.of(FaultSpec("power", engine="dbp",
                                         kind="transient", times=9))
-        rows = faulty_figure5(cfg, make_executor(faults=faults))
+        rows = pair_rows(cfg, make_executor(faults=faults))
         kinds = {r["error_kind"] for r in rows if r.get("error")}
         assert kinds == {"TransientFault"}
 
@@ -358,12 +360,12 @@ class TestKeyboardInterrupt:
     def test_interrupt_propagates(self, cfg, jobs):
         ex = make_executor(jobs=jobs, progress=_InterruptAfter(3))
         with pytest.raises(KeyboardInterrupt):
-            faulty_figure5(cfg, ex)
+            pair_rows(cfg, ex)
 
     def test_pooled_interrupt_leaves_no_orphan_workers(self, cfg):
         ex = make_executor(jobs=2, progress=_InterruptAfter(2))
         with pytest.raises(KeyboardInterrupt):
-            faulty_figure5(cfg, ex)
+            pair_rows(cfg, ex)
         # _abandon_pool terminated and joined the workers; give a slow
         # box a moment to reap before declaring orphans.
         deadline = time.monotonic() + 5.0
@@ -379,7 +381,7 @@ class TestJournalResume:
         ex = make_executor(jobs=jobs, journal=journal, registry=registry,
                            progress=_InterruptAfter(n))
         with pytest.raises(KeyboardInterrupt):
-            faulty_figure5(cfg, ex)
+            pair_rows(cfg, ex)
         journal.close()
         return journal
 
@@ -393,7 +395,7 @@ class TestJournalResume:
         journal = SweepJournal(tmp_path / "sweep.jsonl", registry=registry,
                                resume=True)
         ex = make_executor(jobs=jobs, journal=journal, registry=registry)
-        rows = faulty_figure5(cfg, ex)
+        rows = pair_rows(cfg, ex)
         assert rows == clean_rows
         # Every checkpointed cell replays; only the remainder re-simulates.
         assert journal.replayed == checkpointed
@@ -420,7 +422,7 @@ class TestJournalResume:
         assert journal.stats()["corrupt"] == 1
         assert len(journal) == len(lines) - 1
         ex = make_executor(journal=journal, registry=registry)
-        assert faulty_figure5(cfg, ex) == clean_rows
+        assert pair_rows(cfg, ex) == clean_rows
 
     def test_foreign_schema_lines_are_skipped(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
@@ -431,21 +433,18 @@ class TestJournalResume:
         assert journal.stats()["corrupt"] == 1
 
     def test_journal_roundtrips_both_cell_kinds(self, cfg, tmp_path):
-        from repro.harness import table1
-
+        spec = shipped_spec("table1", ("treeadd",), SMALL)
         registry = MetricRegistry()
         journal = SweepJournal(tmp_path / "t1.jsonl", registry=registry)
         ex = make_executor(journal=journal, registry=registry)
-        rows = table1(cfg, benchmarks=("treeadd",),
-                      params={"treeadd": SMALL["treeadd"]}, executor=ex)
+        rows = run_spec(spec, cfg, ex)
         journal.close()
 
         registry2 = MetricRegistry()
         journal2 = SweepJournal(tmp_path / "t1.jsonl", registry=registry2,
                                 resume=True)
         ex2 = make_executor(journal=journal2, registry=registry2)
-        rows2 = table1(cfg, benchmarks=("treeadd",),
-                       params={"treeadd": SMALL["treeadd"]}, executor=ex2)
+        rows2 = run_spec(spec, cfg, ex2)
         assert rows2 == rows
         assert ex2.stats()["executed"] == 0       # fully replayed
         assert journal2.replayed == 1
@@ -457,7 +456,7 @@ class TestJournalResume:
         plan = SweepPlan(cfg)
         spec = plan.add(RunSpec.make("treeadd", "baseline", "none", cfg,
                                      SMALL["treeadd"]))
-        plan.execute(executor=ex)
+        plan.execute(ex)
         journal.close()
         (line,) = (tmp_path / "s.jsonl").read_text().splitlines()
         doc = json.loads(line)
@@ -484,7 +483,7 @@ class TestMixedFaultAcceptance:
         )
         ex = make_executor(jobs=jobs, retries=3, timeout=0.6 if jobs == 1 else 5.0,
                            faults=faults)
-        assert faulty_figure5(cfg, ex) == clean_rows
+        assert pair_rows(cfg, ex) == clean_rows
         stats = ex.stats()
         assert stats["failures"] == 0
         assert stats["timeouts"] >= 1

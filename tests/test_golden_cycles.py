@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro import small_config
-from repro.harness import BenchmarkRunner
+from repro.audit import golden_drift
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden_cycles.json").read_text()
@@ -32,17 +32,7 @@ GOLDEN = json.loads(
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_cycles(name):
-    entry = GOLDEN[name]
-    cfg = small_config()
-    if "mshr_model" in entry:
-        cfg = cfg.with_overrides({"mshr_model": entry["mshr_model"]})
-    runner = BenchmarkRunner(entry.get("workload", name), cfg, entry["params"])
-    idiom = entry.get("idiom")
-    for scheme, want in sorted(entry["schemes"].items()):
-        run = runner.run(scheme, idiom if scheme in ("software", "cooperative") else None)
-        got = {
-            "cycles": run.total,
-            "compute": run.compute,
-            "instructions": run.result.instructions,
-        }
-        assert got == want, f"{name}/{scheme} diverged from golden"
+    # The same per-entry check as `repro audit`'s fidelity gate: a
+    # SweepPlan of the entry's schemes run by a serial Scheduler.
+    drift = golden_drift(name, GOLDEN[name], small_config())
+    assert drift == [], f"{name} diverged from golden: {drift}"

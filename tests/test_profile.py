@@ -309,7 +309,7 @@ class TestHarnessAxis:
         assert timing and all(s.profile for s in timing)
 
     def test_executor_cell_emits_profile(self, tmp_path):
-        from repro.harness import ResultCache
+        from repro.harness import ResultCache, Scheduler
         from repro.harness.executor import SweepPlan
 
         params = {"levels": 3, "passes": 1}
@@ -318,7 +318,7 @@ class TestHarnessAxis:
             plan = SweepPlan(small_config())
             scheduled = plan.add_run("treeadd", "base", params=params,
                                      profile=True)
-            results = plan.execute(cache=ResultCache(tmp_path))
+            results = plan.execute(Scheduler(cache=ResultCache(tmp_path)))
             return scheduled, results.cell(scheduled.timing)
 
         __, cell = run_once()

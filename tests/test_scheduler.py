@@ -19,7 +19,6 @@ from repro.harness import (
     BackendError,
     RunSpec,
     Scheduler,
-    SweepExecutor,
     WorkerBackend,
     detect_cpus,
     run_cell,
@@ -113,6 +112,30 @@ class TestBackendResolution:
         assert detect_cpus() >= 1
 
 
+class TestSerialBuildOnce:
+    def test_schemes_of_one_variant_share_a_build(self, cfg, monkeypatch):
+        from collections import OrderedDict
+
+        from repro.harness import SweepPlan, backends
+        from repro.workloads.base import Workload
+
+        monkeypatch.setattr(backends, "_worker_programs", OrderedDict())
+        built = []
+        build = Workload.build
+
+        def counting_build(self, variant="baseline"):
+            built.append(variant)
+            return build(self, variant)
+
+        monkeypatch.setattr(Workload, "build", counting_build)
+        plan = SweepPlan(cfg)
+        for scheme in ("base", "hardware", "dbp"):
+            plan.add_run("treeadd", scheme, SMALL["treeadd"])
+        # Three timing cells and one compute cell, one program build.
+        assert len(plan.execute(Scheduler(jobs=1)).cells) == 4
+        assert built == ["baseline"]
+
+
 class TestDispatchTables:
     def test_configs_ship_once(self, cfg):
         specs = _specs(cfg)
@@ -178,9 +201,9 @@ def _table(specs, cells) -> list:
 class TestAssemblyDeterminism:
     def test_reversed_arrival_matches_serial(self, reference):
         specs, outs = reference
-        serial = _table(specs, SweepExecutor().execute(specs))
+        serial = _table(specs, Scheduler().execute(specs))
         backend = _ReplayBackend(outs, list(range(len(specs)))[::-1])
-        scrambled = SweepExecutor(backend=backend).execute(specs)
+        scrambled = Scheduler(backend=backend).execute(specs)
         assert _table(specs, scrambled) == serial
 
     @settings(max_examples=25, deadline=None)
@@ -190,7 +213,7 @@ class TestAssemblyDeterminism:
     ):
         specs, outs = reference
         expected = [outs[spec][1].to_dict() for spec in specs]
-        cells = SweepExecutor(
+        cells = Scheduler(
             backend=_ReplayBackend(outs, list(order))
         ).execute(specs)
         assert list(cells) and _table(specs, cells) == expected
@@ -202,7 +225,7 @@ class TestAssemblyDeterminism:
             def run(self, sched, todo, results, done, total):
                 return super().run(sched, todo[:2], results, done, total)
 
-        cells = SweepExecutor(
+        cells = Scheduler(
             backend=Lossy(outs, [0, 1])
         ).execute(specs)
         # Every planned cell is accounted for: the two the backend

@@ -19,7 +19,7 @@ import threading
 import pytest
 
 from repro import small_config
-from repro.harness import FaultPlan, SweepExecutor
+from repro.harness import FaultPlan, Scheduler
 from repro.harness.cells import RunSpec
 from repro.harness.faults import FaultSpec
 from repro.harness.protocol import (
@@ -158,10 +158,10 @@ def pool():
     p.stop()
 
 
-def _executor(*pools, **kw) -> SweepExecutor:
+def _executor(*pools, **kw) -> Scheduler:
     kw.setdefault("lease_ttl", 5.0)
     kw.setdefault("pool_wait", 15.0)
-    return SweepExecutor(
+    return Scheduler(
         backend="service", pools=[p.path for p in pools], **kw
     )
 
@@ -171,8 +171,8 @@ class TestServiceBackend:
         """The golden check: serial, local pool, and service execution
         of the same cells produce bit-identical results."""
         specs = _specs(cfg)
-        serial = SweepExecutor(jobs=1).execute(specs)
-        pooled = SweepExecutor(jobs=2, backend="process").execute(specs)
+        serial = Scheduler(jobs=1).execute(specs)
+        pooled = Scheduler(jobs=2, backend="process").execute(specs)
         service = _executor(pool).execute(specs)
         for spec in specs:
             want = serial[spec].result.to_dict()
@@ -202,7 +202,7 @@ class TestServiceBackend:
         other = _Pool(name="pool-b")
         try:
             specs = _specs(cfg)
-            serial = SweepExecutor(jobs=1).execute(specs)
+            serial = Scheduler(jobs=1).execute(specs)
             cells = _executor(pool, other).execute(specs)
             for spec in specs:
                 assert cells[spec].result.to_dict() == \
@@ -216,7 +216,7 @@ class TestServiceBackend:
 
     def test_pool_unavailable_fails_cleanly(self, cfg):
         spec = _specs(cfg)[0]
-        ex = SweepExecutor(backend="service",
+        ex = Scheduler(backend="service",
                            pools=["/tmp/repro-no-such-pool.sock"],
                            pool_wait=0.5)
         cells = ex.execute([spec])
@@ -238,7 +238,7 @@ class TestServiceFaultDrills:
         backup.svc._die = backup.svc.stop
         try:
             specs = _specs(cfg)
-            serial = SweepExecutor(jobs=1).execute(specs)
+            serial = Scheduler(jobs=1).execute(specs)
             ex = _executor(
                 pool, backup,
                 faults=FaultPlan.of(
@@ -290,7 +290,7 @@ class TestServiceFaultDrills:
         """dup-result delivers the terminal result twice; the second
         arrival is counted and dropped, never double-assembled."""
         specs = _specs(cfg)
-        serial = SweepExecutor(jobs=1).execute(specs)
+        serial = Scheduler(jobs=1).execute(specs)
         ex = _executor(
             pool,
             faults=FaultPlan.of(

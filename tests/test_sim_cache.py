@@ -8,13 +8,15 @@ from repro import small_config
 from repro.harness import (
     ResultCache,
     RunSpec,
+    Scheduler,
     SweepPlan,
     code_fingerprint,
-    figure5,
+    run_spec,
     spec_key,
 )
 from repro.obs import MetricRegistry
 from repro.workloads import workload_class
+from tests.conftest import shipped_spec
 
 TREEADD = workload_class("treeadd").test_params()
 
@@ -57,7 +59,7 @@ class TestRoundTrip:
             plan = SweepPlan(cfg)
             runs = [plan.add_run("treeadd", s, TREEADD)
                     for s in ("base", "software", "hardware")]
-            results = plan.execute(cache=cache)
+            results = plan.execute(Scheduler(cache=cache))
             return [results.scheme_run(sr) for sr in runs]
 
         cold = matrix()
@@ -70,9 +72,9 @@ class TestRoundTrip:
         assert warm == cold
 
     def test_figure5_rows_identical_cold_vs_warm(self, cfg, cache):
-        kw = dict(benchmarks=("treeadd",), params={"treeadd": TREEADD},
-                  cache=cache)
-        assert figure5(cfg, **kw) == figure5(cfg, **kw)
+        spec = shipped_spec("figure5", ("treeadd",), {"treeadd": TREEADD})
+        assert (run_spec(spec, cfg, Scheduler(cache=cache))
+                == run_spec(spec, cfg, Scheduler(cache=cache)))
         assert cache.hits > 0
 
     def test_miss_intervals_never_cached(self, cfg, cache):

@@ -1,46 +1,31 @@
 """The declarative experiment-spec layer: parsing, validation, dict
 round-trips, compilation onto the sweep machinery, bit-identical parity
-with the bespoke experiment wrappers, and warm-cache reruns."""
+with rows assembled straight from a SweepPlan, and warm-cache reruns."""
 
 import json
 
 import pytest
 
-from repro import small_config
+from repro import get_workload, small_config
 from repro.harness import (
+    SCHEMES,
     Axis,
     ExperimentSpec,
-    SpecError,
-    SweepExecutor,
     ResultCache,
+    Scheduler,
+    SpecError,
+    SweepPlan,
     WorkloadSel,
     compile_spec,
-    figure4_spec,
-    figure5_spec,
-    figure6_spec,
-    figure7_spec,
     load_spec,
     run_spec,
     spec_artifact,
-    table1_spec,
 )
-from repro.harness.experiments import figure4, figure5, figure7, small_params
+from repro.harness.experiments import small_params
+from tests.conftest import shipped_spec
 
-try:
-    import tomllib  # noqa: F401
-    HAVE_TOMLLIB = True
-except ImportError:  # Python < 3.11
-    HAVE_TOMLLIB = False
-
-needs_toml = pytest.mark.skipif(not HAVE_TOMLLIB, reason="tomllib (3.11+)")
-
-SPEC_BUILDERS = {
-    "examples/specs/table1.toml": table1_spec,
-    "examples/specs/figure4.toml": figure4_spec,
-    "examples/specs/figure5.toml": figure5_spec,
-    "examples/specs/figure6.toml": figure6_spec,
-    "examples/specs/figure7.toml": figure7_spec,
-}
+SHIPPED = [f"examples/specs/{name}.toml" for name in
+           ("figure4", "figure5", "figure6", "figure7", "table1")]
 
 
 # ----------------------------------------------------------------------
@@ -48,16 +33,7 @@ SPEC_BUILDERS = {
 # ----------------------------------------------------------------------
 
 class TestSpecFiles:
-    @needs_toml
-    @pytest.mark.parametrize("path", sorted(SPEC_BUILDERS))
-    def test_shipped_file_equals_builder(self, path):
-        # The shipped TOML and the wrapper's programmatic spec are the
-        # same object — so `repro run-spec` and `repro figureN` can
-        # never drift apart.
-        assert load_spec(path) == SPEC_BUILDERS[path]()
-
-    @needs_toml
-    @pytest.mark.parametrize("path", sorted(SPEC_BUILDERS))
+    @pytest.mark.parametrize("path", SHIPPED)
     def test_shipped_file_dict_round_trip(self, path):
         spec = load_spec(path)
         assert ExperimentSpec.from_dict(spec.to_dict()) == spec
@@ -66,7 +42,7 @@ class TestSpecFiles:
         assert ExperimentSpec.from_dict(json.loads(blob)) == spec
 
     def test_json_spec_loads(self, tmp_path):
-        spec = figure7_spec()
+        spec = shipped_spec("figure7")
         path = tmp_path / "f7.json"
         path.write_text(json.dumps(spec.to_dict()))
         assert load_spec(path) == spec
@@ -174,7 +150,7 @@ class TestSpecValidation:
 
     def test_with_machine_rejects_unknown(self):
         with pytest.raises(SpecError, match="cray"):
-            figure5_spec().with_machine("cray")
+            shipped_spec("figure5").with_machine("cray")
 
 
 # ----------------------------------------------------------------------
@@ -185,13 +161,14 @@ class TestCompile:
     def test_dedup_shares_cells(self):
         # 5 schemes -> 5 timing cells but only 3 distinct program
         # variants' compute cells; base/hardware/dbp share "baseline".
-        spec = figure5_spec(benchmarks=("treeadd",),
-                            params={"treeadd": small_params("treeadd")})
+        spec = shipped_spec("figure5", ("treeadd",),
+                            {"treeadd": small_params("treeadd")})
         compiled = compile_spec(spec, small_config())
         assert compiled.cell_count == 5 + 3
 
     def test_axes_cross_product_order(self):
-        spec = figure7_spec(latencies=(70, 280), intervals=(8, 16))
+        spec = shipped_spec("figure7",
+                            axes={"latency": (70, 280), "interval": (8, 16)})
         compiled = compile_spec(spec, small_config())
         points = [(r.axis["latency"], r.axis["interval"])
                   for r in compiled.rows]
@@ -210,44 +187,107 @@ class TestCompile:
 
 
 # ----------------------------------------------------------------------
-# Execution parity with the bespoke wrappers (bit-identical rows)
+# Execution parity with rows assembled straight from a SweepPlan
 # ----------------------------------------------------------------------
+
+def _plan_rows(cfg, benchmarks, params):
+    """Figure-5 rows computed by hand: one SweepPlan, the paper's
+    formulas, no spec layer in between."""
+    plan = SweepPlan(cfg)
+    scheduled = [
+        (name, {s: plan.add_run(name, s, params[name]) for s in SCHEMES})
+        for name in benchmarks
+    ]
+    results = plan.execute()
+    rows = []
+    for name, runs in scheduled:
+        base = results.scheme_run(runs["base"])
+        for scheme, sr in runs.items():
+            run = results.scheme_run(sr)
+            rows.append({
+                "benchmark": name,
+                "scheme": scheme,
+                "variant": run.variant,
+                "normalized": round(run.normalized(base.total), 3),
+                "compute": run.compute,
+                "memory": run.memory,
+                "mem_reduction%": round(
+                    100 * run.memory_reduction(base.memory), 1),
+            })
+    return rows
+
 
 class TestParity:
     def test_figure5_rows_bit_identical(self):
         cfg = small_config()
         params = {"treeadd": small_params("treeadd"),
                   "health": small_params("health")}
-        direct = figure5(cfg, benchmarks=("treeadd", "health"), params=params)
+        direct = _plan_rows(cfg, ("treeadd", "health"), params)
         via_spec = run_spec(
-            figure5_spec(benchmarks=("treeadd", "health"), params=params),
-            cfg=cfg)
+            shipped_spec("figure5", ("treeadd", "health"), params), cfg=cfg)
         assert direct == via_spec
 
     def test_figure4_rows_bit_identical(self):
         cfg = small_config()
-        subjects = {"mst": ("queue", "root")}
-        params = {"mst": small_params("mst")}
-        direct = figure4(cfg, subjects=subjects, params=params)
-        via_spec = run_spec(figure4_spec(subjects, params), cfg=cfg)
+        params = small_params("mst")
+        workload = get_workload("mst", **params)
+        plan = SweepPlan(cfg)
+        runs = [("base", plan.add_run("mst", "base", params))]
+        for impl, engine in (("sw", "software"), ("coop", "cooperative")):
+            for idiom in ("queue", "root"):
+                variant = f"{impl}:{idiom}"
+                if variant in workload.variants:
+                    runs.append((variant, plan.add_variant_run(
+                        "mst", variant, engine, params)))
+        results = plan.execute()
+        base = results.scheme_run(runs[0][1])
+        direct = []
+        for config, sr in runs:
+            run = results.scheme_run(sr)
+            direct.append({
+                "benchmark": "mst",
+                "config": config,
+                "normalized": round(run.normalized(base.total), 3),
+                "compute": run.compute,
+                "memory": run.memory,
+            })
+        spec = shipped_spec("figure4", ("mst",), {"mst": params},
+                            idioms={"mst": ("queue", "root")})
+        via_spec = run_spec(spec, cfg=cfg)
         assert direct == via_spec
         assert direct[0]["config"] == "base"
         assert direct[0]["normalized"] == 1.0
 
     def test_figure7_axis_rows_bit_identical(self):
         cfg = small_config()
-        params = small_params("health")
-        direct = figure7(cfg, latencies=(70,), intervals=(4,), params=params)
+        params = {**small_params("health"), "interval": 4}
+        point = cfg.with_memory_latency(70).with_jump_interval(4)
+        plan = SweepPlan(point)
+        runs = {s: plan.add_run("health", s, params) for s in SCHEMES}
+        results = plan.execute()
+        base = results.scheme_run(runs["base"])
+        direct = []
+        for scheme, sr in runs.items():
+            run = results.scheme_run(sr)
+            direct.append({
+                "latency": 70,
+                "interval": 4,
+                "scheme": scheme,
+                "total": run.total,
+                "normalized": round(run.normalized(base.total), 3),
+                "mem_reduction%": round(
+                    100 * run.memory_reduction(base.memory), 1),
+            })
         via_spec = run_spec(
-            figure7_spec(latencies=(70,), intervals=(4,), params=params),
+            shipped_spec("figure7", params={"health": small_params("health")},
+                         axes={"latency": (70,), "interval": (4,)}),
             cfg=cfg)
         assert direct == via_spec
         assert all(r["latency"] == 70 and r["interval"] == 4 for r in direct)
 
-    @needs_toml
     def test_spec_file_small_matches_wrapper(self):
         # The shipped figure5 file, cut down to one workload at test
-        # size, produces the wrapper's exact rows.
+        # size, produces the hand-assembled SweepPlan rows exactly.
         import dataclasses
         cfg = small_config()
         spec = load_spec("examples/specs/figure5.toml")
@@ -255,8 +295,8 @@ class TestParity:
             spec, workloads=(WorkloadSel(
                 "treeadd", params=small_params("treeadd")),))
         rows = run_spec(spec, cfg=cfg)
-        assert rows == figure5(cfg, benchmarks=("treeadd",),
-                               params={"treeadd": small_params("treeadd")})
+        assert rows == _plan_rows(cfg, ("treeadd",),
+                                  {"treeadd": small_params("treeadd")})
 
 
 # ----------------------------------------------------------------------
@@ -265,15 +305,15 @@ class TestParity:
 
 class TestWarmCache:
     def test_warm_rerun_executes_nothing(self, tmp_path):
-        spec = figure5_spec(benchmarks=("treeadd",),
-                            params={"treeadd": small_params("treeadd")})
+        spec = shipped_spec("figure5", ("treeadd",),
+                            {"treeadd": small_params("treeadd")})
         cfg = small_config()
 
-        cold = SweepExecutor(cache=ResultCache(tmp_path))
+        cold = Scheduler(cache=ResultCache(tmp_path))
         rows_cold = run_spec(spec, cfg=cfg, executor=cold)
         assert cold.stats()["executed"] == 8
 
-        warm = SweepExecutor(cache=ResultCache(tmp_path))
+        warm = Scheduler(cache=ResultCache(tmp_path))
         rows_warm = run_spec(spec, cfg=cfg, executor=warm)
         assert warm.stats()["executed"] == 0  # every cell cache-served
         assert rows_warm == rows_cold
@@ -288,9 +328,9 @@ class TestWarmCache:
             {**base.to_dict(), "overrides": {"memory_latency": 280}})
         cfg = small_config()
 
-        first = SweepExecutor(cache=ResultCache(tmp_path))
+        first = Scheduler(cache=ResultCache(tmp_path))
         run_spec(base, cfg=cfg, executor=first)
-        second = SweepExecutor(cache=ResultCache(tmp_path))
+        second = Scheduler(cache=ResultCache(tmp_path))
         run_spec(varied, cfg=cfg, executor=second)
         # The override changes the machine, so nothing may be reused.
         assert second.stats()["executed"] > 0
@@ -346,9 +386,9 @@ class TestMshrModelAxis:
             {**base.to_dict(), "overrides": {"mshr_model": "coalescing"}})
         cfg = small_config()
 
-        first = SweepExecutor(cache=ResultCache(tmp_path))
+        first = Scheduler(cache=ResultCache(tmp_path))
         run_spec(base, cfg=cfg, executor=first)
-        second = SweepExecutor(cache=ResultCache(tmp_path))
+        second = Scheduler(cache=ResultCache(tmp_path))
         run_spec(varied, cfg=cfg, executor=second)
         assert second.stats()["executed"] > 0
 
@@ -384,7 +424,8 @@ class TestErrorsAndArtifacts:
         assert configs == ["base", "sw:queue", "coop:queue"]
 
     def test_artifact_embeds_spec(self):
-        spec = figure7_spec(latencies=(70,), intervals=(4,))
+        spec = shipped_spec("figure7",
+                            axes={"latency": (70,), "interval": (4,)})
         rows = [{"latency": 70, "interval": 4, "scheme": "base"}]
         doc = spec_artifact(spec, rows, meta={"source": "test"})
         assert doc["schema"] == "repro.experiment/1"

@@ -30,7 +30,7 @@ from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op
 from repro.isa.registers import A0, A1, T0, T1, T2, V0, ZERO
 from repro.prefetch import BoundedClockMap
-from repro.prefetch.engines import DBPEngine, ENGINE_CLASSES
+from repro.prefetch.engines import ENGINES, DBPEngine
 
 from tests.conftest import assemble_list_walk
 from tests.test_engines import walk_twice
@@ -45,8 +45,8 @@ ZOO = ("pointer-chase", "stride", "cdp", "foresight")
 class TestRegistration:
     @pytest.mark.parametrize("name", ZOO)
     def test_engine_registered(self, name):
-        assert name in ENGINE_CLASSES
-        assert ENGINE_CLASSES[name].name == name
+        assert name in ENGINES
+        assert ENGINES.get(name).name == name
 
     @pytest.mark.parametrize("name", ZOO)
     def test_scheme_registered_with_description(self, name):
@@ -286,7 +286,7 @@ class TestBoundedMemoryFlood:
 
     def _flooded(self, name, seed):
         cfg = small_config()
-        engine = ENGINE_CLASSES[name]()
+        engine = ENGINES.get(name)()
         heap_lo = 0x1000
         engine.attach(_FloodHierarchy(), _FloodMemory(),
                       heap_lo, heap_lo + 64 * FLOOD + 64, cfg)
