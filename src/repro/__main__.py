@@ -27,18 +27,13 @@ Examples::
     python -m repro audit --inject-faults 'em3d//dbp=corrupt'  # auditor drill
     python -m repro profile health --scheme hardware   # CPI stack + hot sites
     python -m repro profile em3d --small -o em3d.profile.json --trace em3d.trace.json
-    python -m repro bench-diff BENCH_PR2.json BENCH_PR6.json
-    python -m repro bench-diff BENCH_PR2.json --regen --tolerance 1.5
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import subprocess
 import sys
-import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -46,10 +41,8 @@ from . import bench_config, table2_config, workload_names
 from .audit import (
     Auditor,
     audit_workloads,
-    compare_benchmarks,
     differential_check,
     fidelity_gate,
-    regressions,
 )
 from .audit.gate import DEFAULT_GOLDEN
 from .config import MSHR_MODELS, get_machine, machine_names
@@ -664,76 +657,6 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def _bench_regen(quick: bool) -> dict:
-    """Re-run ``benchmarks/perf_baseline.py`` and load its report."""
-    script = Path(__file__).resolve().parents[2] / "benchmarks" / "perf_baseline.py"
-    if not script.exists():
-        raise SystemExit(f"error: {script} not found (run from a source checkout)")
-    with tempfile.TemporaryDirectory(prefix="repro-bench-diff-") as tmp:
-        out = Path(tmp) / "bench.json"
-        cmd = [sys.executable, str(script), "-o", str(out)]
-        if quick:
-            cmd.append("--quick")
-        print(f"  regenerating: {' '.join(cmd[1:])}", file=sys.stderr)
-        proc = subprocess.run(cmd, cwd=script.parent.parent)
-        if proc.returncode:
-            raise SystemExit(f"error: perf_baseline.py exited {proc.returncode}")
-        with open(out) as f:
-            return json.load(f)
-
-
-def cmd_bench_diff(args) -> int:
-    """Signed per-metric drift between two perf-baseline reports."""
-    try:
-        with open(args.baseline) as f:
-            baseline = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(f"error: cannot read {args.baseline}: {exc}") from None
-    if args.regen:
-        current = _bench_regen(args.quick)
-        current_name = "(regenerated)"
-    elif args.current:
-        try:
-            with open(args.current) as f:
-                current = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SystemExit(
-                f"error: cannot read {args.current}: {exc}"
-            ) from None
-        current_name = args.current
-    else:
-        raise SystemExit("error: bench-diff needs CURRENT or --regen")
-
-    rows = compare_benchmarks(baseline, current, tolerance=args.tolerance)
-    print(format_table(
-        rows, f"bench-diff — {args.baseline} vs {current_name}"
-    ))
-    bad = regressions(rows)
-    if args.output:
-        doc = artifact(
-            "bench_diff",
-            {
-                "baseline": str(args.baseline),
-                "current": current_name,
-                "tolerance": args.tolerance,
-                "rows": rows,
-                "regressions": len(bad),
-            },
-        )
-        dump_json(doc, args.output)
-        print(f"wrote {args.output}")
-    if bad:
-        for row in bad:
-            print(f"  REGRESSION: {row['metric']} ({row['mode']} {row['band']}): "
-                  f"{row['baseline']} -> {row['current']}", file=sys.stderr)
-        print(f"\nbench-diff FAILED: {len(bad)} regression(s) "
-              f"(tolerance {args.tolerance})", file=sys.stderr)
-        return 1
-    print(f"\nbench-diff OK: {len(rows)} metrics within tolerance "
-          f"{args.tolerance}")
-    return 0
-
-
 def cmd_extension(args) -> int:
     """X1/X2: the extension experiments, whose rows are not spec rows."""
     cfg = _config(args)
@@ -943,28 +866,6 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("-o", "--output", default=None, metavar="FILE",
                       help="write the repro.profile/1 JSON artifact")
 
-    bd = sub.add_parser(
-        "bench-diff",
-        help="signed per-metric drift between two BENCH_*.json "
-             "perf-baseline reports; exits non-zero on regression "
-             "(the CI perf gate)",
-    )
-    bd.add_argument("baseline", help="baseline report, e.g. BENCH_PR2.json")
-    bd.add_argument("current", nargs="?", default=None,
-                    help="current report (omit with --regen)")
-    bd.add_argument("--regen", action="store_true",
-                    help="regenerate the current report now via "
-                         "benchmarks/perf_baseline.py")
-    bd.add_argument("--quick", action="store_true",
-                    help="with --regen: test-size smoke run (compare "
-                         "against a --quick baseline only)")
-    bd.add_argument("--tolerance", type=float, default=0.25, metavar="T",
-                    help="relative band for wall-clock (lower) and "
-                         "throughput (higher) rules; exact rules always "
-                         "require bit-identical values (default: 0.25)")
-    bd.add_argument("-o", "--output", default=None, metavar="FILE",
-                    help="write the repro.bench_diff/1 JSON artifact")
-
     sub.add_parser("x1", help="extension: on-chip jump-pointer table "
                               "ablation")
     sub.add_parser("x2", help="extension: creation overhead + "
@@ -1065,8 +966,6 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_audit(args)
         if args.command == "profile":
             return cmd_profile(args)
-        if args.command == "bench-diff":
-            return cmd_bench_diff(args)
         return cmd_extension(args)
     except SpecError as exc:
         raise SystemExit(f"error: {exc}") from None

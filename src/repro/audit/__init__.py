@@ -13,19 +13,8 @@ Three layers, composable separately or through the ``repro audit`` CLI:
   paper's headline numbers as machine-readable targets with tolerance
   bands, and the gate entry points that turn golden-cell re-runs into
   per-metric drift reports.
-* :mod:`repro.audit.bench` — the ``repro bench-diff`` comparator:
-  signed per-metric drift between two ``BENCH_*.json`` performance
-  reports under exact/lower/higher tolerance rules (the CI
-  perf-regression gate).
 """
 
-from .bench import (
-    BenchRule,
-    DEFAULT_RULES,
-    compare_benchmarks,
-    flatten_report,
-    regressions,
-)
 from .diff import (
     Divergence,
     FieldDiff,
@@ -65,8 +54,6 @@ __all__ = [
     "AuditError",
     "Auditor",
     "AuditViolation",
-    "BenchRule",
-    "DEFAULT_RULES",
     "Divergence",
     "FieldDiff",
     "FIGURE5_TARGETS",
@@ -75,7 +62,6 @@ __all__ = [
     "TABLE1_TARGETS",
     "all_targets",
     "audit_workloads",
-    "compare_benchmarks",
     "corrupt_mshr_tracker",
     "corrupt_outcome_tracker",
     "diff_all_engines",
@@ -86,9 +72,7 @@ __all__ = [
     "fidelity_gate",
     "golden_drift",
     "figure5_observations",
-    "flatten_report",
     "load_golden",
     "reference_simulate",
-    "regressions",
     "table1_observations",
 ]

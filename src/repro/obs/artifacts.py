@@ -14,7 +14,6 @@ Schema tags currently in use:
 * ``repro.trace/1``       — sidecar metadata for a Chrome trace file
 * ``repro.profile/1``     — ``python -m repro profile`` (CPI stack,
   hot-site table, per-level latency histograms)
-* ``repro.bench_diff/1``  — ``python -m repro bench-diff`` drift rows
 """
 
 from __future__ import annotations

@@ -114,11 +114,20 @@ class TestConservationProps:
 
 class TestObserverPurity:
     def test_bit_identical_cycles_all_engines(self, cfg):
+        # Every observer mode: the profiler, telemetry metrics, and
+        # telemetry with the structured event trace.
+        observers = {
+            "profile": lambda: {"profile": Profiler()},
+            "metrics": lambda: {"telemetry": Telemetry()},
+            "trace": lambda: {"telemetry": Telemetry(trace=EventTrace())},
+        }
         program, __ = assemble_list_walk(32)
         for engine in ("none", "software", "dbp", "cooperative", "hardware"):
             bare = simulate(program, cfg, engine=engine)
-            __, profiled = _profiled(program, cfg, engine=engine)
-            assert profiled.cycles == bare.cycles, engine
+            for mode, observer in observers.items():
+                watched = simulate(program, cfg, engine=engine, **observer())
+                assert watched.cycles == bare.cycles, (engine, mode)
+                assert watched.instructions == bare.instructions, (engine, mode)
 
     def test_unprofiled_result_has_no_profile(self, cfg):
         program, __ = assemble_list_walk(8)

@@ -9,6 +9,8 @@ drives that directly by completing cells in arbitrary interleavings.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from repro.harness import (
     WorkerBackend,
     detect_cpus,
     run_cell,
+    small_params,
 )
 from repro.harness.backends import ProcessPoolBackend, SerialBackend, config_id, dispatch_tables
 from repro.harness.cells import CellResult, job_payload, spec_from_payload
@@ -159,6 +162,35 @@ class TestDispatchTables:
     def test_config_id_content_addressed(self, cfg):
         assert config_id(cfg) == config_id(small_config())
         assert config_id(cfg) != config_id(cfg.perfect())
+
+    def test_wire_bytes_per_cell_pinned(self, cfg):
+        """The ``repro.job/1`` wire format, pinned by size on a
+        figure-5-shaped population: every variant of treeadd/em3d/health
+        at test size, on the small machine and its perfect-memory twin.
+        Bytes per cell are the JSON payloads plus each distinct config's
+        one-time registration, amortized over the cells.  A new payload
+        field moves this number; re-pin it on purpose, not by accident.
+        """
+        from repro.config import MachineConfig
+
+        specs = [
+            RunSpec.make(bench, variant, "none", machine, small_params(bench))
+            for bench in ("treeadd", "em3d", "health")
+            for variant in workload_class(bench).variants
+            for machine in (cfg, cfg.perfect())
+        ]
+        configs, payloads = dispatch_tables(specs)
+        assert len(specs) == 30
+        assert len(configs) == 2
+        wire = sum(len(json.dumps(p).encode()) for p in payloads.values())
+        wire += sum(
+            len(json.dumps({"id": cid, "data": data}).encode())
+            for cid, data in configs.items()
+        )
+        assert round(wire / len(specs)) == 406
+        for spec, payload in payloads.items():
+            rebuilt_cfg = MachineConfig.from_dict(configs[payload["config"]])
+            assert spec_from_payload(payload, rebuilt_cfg) == spec
 
 
 class _ReplayBackend(WorkerBackend):
