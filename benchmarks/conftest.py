@@ -15,8 +15,8 @@ import pytest
 
 from repro.harness import ExperimentSpec, load_spec
 
-#: The shipped experiment specs: the only definition of Table 1 and
-#: Figures 4-7.
+#: The shipped experiment specs: the only definition of Table 1,
+#: Figures 4-7 and the X1-X4 extensions.
 SPEC_DIR = Path(__file__).resolve().parents[1] / "examples" / "specs"
 
 

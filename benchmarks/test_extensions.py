@@ -11,69 +11,27 @@ access idioms, like sparse matrices": the `spmv` workload (linked rows of
 linked elements with x[col] gathers) run under the full scheme matrix.
 """
 
-from dataclasses import replace
+from conftest import run_once, shipped_spec
 
-from conftest import run_once
-
-from repro import bench_config
-from repro.harness import SCHEMES, SweepPlan, format_table
+from repro.harness import format_table, run_spec
 
 
 def test_adaptive_interval(benchmark):
-    def run():
-        plan = SweepPlan(bench_config())
-        scheduled = []
-        for latency in (70, 280):
-            cfg = bench_config().with_memory_latency(latency)
-            adaptive_cfg = replace(
-                cfg, prefetch=replace(cfg.prefetch, adaptive_interval=True)
-            )
-            scheduled.append((
-                latency,
-                plan.add_run("health", "base", cfg=cfg),
-                plan.add_run("health", "hardware", cfg=cfg),
-                plan.add_run("health", "hardware", cfg=adaptive_cfg),
-            ))
-        results = plan.execute()
-        rows = []
-        for latency, *runs in scheduled:
-            base, fixed, adaptive = map(results.scheme_run, runs)
-            rows.append({
-                "latency": latency,
-                "fixed interval 8": round(fixed.normalized(base.total), 3),
-                "adaptive": round(adaptive.normalized(base.total), 3),
-            })
-        return rows
-
-    rows = run_once(benchmark, run)
+    rows = run_once(benchmark, run_spec, shipped_spec("x3"))
     print()
     print(format_table(rows, "X3 — adaptive jump interval (health, hardware JPP)"))
-    for row in rows:
+    by: dict = {}
+    for r in rows:
+        by.setdefault(r["latency"], {})[r["adaptive"]] = r["normalized"]
+    for latency, row in by.items():
         # the adaptive table must be competitive with the fixed default...
-        assert row["adaptive"] <= row["fixed interval 8"] + 0.05, row
+        assert row[True] <= row[False] + 0.05, (latency, row)
     # ...and it must still beat the baseline at the long latency
-    assert rows[-1]["adaptive"] < 1.0
+    assert by[280][True] < 1.0
 
 
 def test_spmv_generalization(benchmark):
-    def run():
-        plan = SweepPlan(bench_config())
-        scheduled = {s: plan.add_run("spmv", s) for s in SCHEMES}
-        results = plan.execute()
-        matrix = {s: results.scheme_run(sr) for s, sr in scheduled.items()}
-        base = matrix["base"]
-        return [
-            {
-                "scheme": scheme,
-                "normalized": round(run_.normalized(base.total), 3),
-                "mem_reduction%": round(
-                    100 * run_.memory_reduction(base.memory), 1
-                ),
-            }
-            for scheme, run_ in matrix.items()
-        ]
-
-    rows = run_once(benchmark, run)
+    rows = run_once(benchmark, run_spec, shipped_spec("x4"))
     print()
     print(format_table(rows, "X4 — spmv (sparse-matrix generalization)"))
     by = {r["scheme"]: r["normalized"] for r in rows}

@@ -7,7 +7,7 @@ Examples::
     python -m repro run health --scheme hardware # one benchmark, one scheme
     python -m repro run health --all             # full Figure-5 row
     python -m repro table1                       # characterization table
-    python -m repro figure4 | figure5 | figure6 | figure7 | x1 | x2
+    python -m repro figure4 | figure5 | figure6 | figure7
     python -m repro figure5 --jobs 4             # sweep across 4 processes
     python -m repro figure7 --no-cache           # ignore the on-disk cache
     python -m repro figure5 --timeout 300 --retries 2   # robust long sweep
@@ -19,6 +19,7 @@ Examples::
     python -m repro run treeadd --scheme software --param levels=9 --param passes=2
     python -m repro run-spec examples/specs/figure5.toml --jobs 4
     python -m repro run-spec mysweep.toml --small -o result.json
+    python -m repro run-spec examples/specs/x1.toml  # extensions X1-X4 too
     python -m repro tournament --small --jobs 4  # scheme zoo, ranked
     python -m repro tournament --machine small -o tournament.json
     python -m repro stats --json                 # telemetry artifact (JSON)
@@ -59,17 +60,14 @@ from .harness import (
     SweepJournal,
     SweepPlan,
     compile_spec,
-    creation_overhead,
     figure5_summary,
     format_table,
     is_tournament_spec,
     load_spec,
-    onchip_table_ablation,
     parse_fault_plan,
     run_scheme,
     spec_artifact,
     tournament_summary,
-    traversal_count_sweep,
 )
 from .harness.scheduler import DEFAULT_LEASE_TTL, DEFAULT_POOL_WAIT
 from .obs import (
@@ -322,19 +320,18 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def _journal_path(args, name: str | None = None) -> Path:
-    """Default journal location: one file per spec name (or per x1/x2
-    command) under the cache root, so ``--resume`` needs no path
-    bookkeeping."""
+def _journal_path(args, name: str) -> Path:
+    """Default journal location: one file per spec name under the cache
+    root, so ``--resume`` needs no path bookkeeping."""
     if args.journal:
         return Path(args.journal)
     root = Path(
         args.cache_dir or os.environ.get("REPRO_CACHE_DIR") or ".repro_cache"
     )
-    return root / "journals" / f"{name or args.command}.jsonl"
+    return root / "journals" / f"{name}.jsonl"
 
 
-def _build_executor(args, journal_name: str | None = None) -> Scheduler:
+def _build_executor(args, journal_name: str) -> Scheduler:
     """--jobs/--cache/--timeout/--retries/--resume/--inject-faults
     plumbing shared by figure commands.  One obs registry spans the
     cache, the journal, and the executor so a single dump shows the
@@ -657,23 +654,6 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def cmd_extension(args) -> int:
-    """X1/X2: the extension experiments, whose rows are not spec rows."""
-    cfg = _config(args)
-    executor = _build_executor(args)
-    if args.command == "x1":
-        print(format_table(onchip_table_ablation(cfg, executor=executor),
-                           "X1 — on-chip jump-pointer table ablation"))
-    else:
-        print(format_table(creation_overhead(cfg, executor=executor),
-                           "X2 — jump-pointer creation overhead"))
-        print()
-        print(format_table(traversal_count_sweep(cfg, executor=executor),
-                           "X2 — traversal-count sensitivity (treeadd)"))
-    _sweep_footer(executor)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -866,10 +846,6 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("-o", "--output", default=None, metavar="FILE",
                       help="write the repro.profile/1 JSON artifact")
 
-    sub.add_parser("x1", help="extension: on-chip jump-pointer table "
-                              "ablation")
-    sub.add_parser("x2", help="extension: creation overhead + "
-                              "traversal-count sweep")
     for name in ("run-spec", "submit") + SPEC_ALIASES:
         p = sub.choices[name]
         p.add_argument("--machine", choices=machine_names(), default=None,
@@ -886,8 +862,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", "--output", default=None, metavar="FILE",
                        help="also write the repro.experiment/1 artifact "
                             "(rows + the spec that produced them)")
-    for name in ("run-spec", "submit", "x1", "x2") + SPEC_ALIASES:
-        p = sub.choices[name]
         p.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="run sweep cells across N worker processes "
                             "(default: 1, serial; 0 = cgroup/affinity-"
@@ -914,8 +888,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "of an interrupted run instead of starting over")
         p.add_argument("--journal", default=None, metavar="PATH",
                        help="checkpoint journal location (default: "
-                            "<cache-root>/journals/spec-<name>.jsonl, "
-                            "or <command>.jsonl for x1/x2)")
+                            "<cache-root>/journals/spec-<name>.jsonl)")
         p.add_argument("--inject-faults", default=None, metavar="PLAN",
                        help="deterministic fault plan for robustness drills: "
                             "'bench[/variant[/engine]]=kind[:times][@sec]' "
@@ -964,9 +937,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_serve(args)
         if args.command == "audit":
             return cmd_audit(args)
-        if args.command == "profile":
-            return cmd_profile(args)
-        return cmd_extension(args)
+        return cmd_profile(args)
     except SpecError as exc:
         raise SystemExit(f"error: {exc}") from None
     except BackendError as exc:

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from ..harness.experiments import MEMORY_BOUND
+from ..harness.reporting import MEMORY_BOUND
 
 __all__ = [
     "PaperTarget",

@@ -79,20 +79,14 @@ class TimingModel:
         engine: PrefetchEngine | None = None,
         collect_miss_intervals: bool = False,
         max_steps: int | None = None,
-        attribute_stalls: bool = False,
         telemetry=None,
         audit=None,
         interpreter_factory=None,
         profile=None,
         sim_engine: str | None = None,
     ) -> None:
-        self.attribute_stalls = attribute_stalls
         self.auditor = audit
         self._interpreter_factory = interpreter_factory
-        if profile is None and attribute_stalls:
-            from ..obs.profile import Profiler
-
-            profile = Profiler()
         self.profiler = profile
         # Simulation-engine dispatch: ``table``/``reference``/``compiled``
         # (or $REPRO_SIM_ENGINE when unset) pick how the program executes;
@@ -129,13 +123,6 @@ class TimingModel:
         )
         self.bpred = BranchPredictor(cfg.branch_pred)
         self._max_steps = max_steps
-
-    @property
-    def stall_attribution(self) -> dict[tuple[int, str], int]:
-        """Commit-stall cycles keyed by ``(pc, reason)`` — lives on the
-        attached :class:`~repro.obs.profile.Profiler` (empty when
-        profiling is off)."""
-        return self.profiler.stall_attribution if self.profiler is not None else {}
 
     # ------------------------------------------------------------------
 

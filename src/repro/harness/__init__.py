@@ -1,13 +1,5 @@
 """Experiment harness: specs, sweep planning and scheduling, reporting."""
 
-from .analysis import (
-    StallLine,
-    StallReport,
-    safe_ratio,
-    speedup,
-    speedup_rows,
-    stall_report,
-)
 from .backends import BACKENDS, BackendError, WorkerBackend, detect_cpus
 from .cache import ResultCache, code_fingerprint, spec_key
 from .cells import run_cell
@@ -32,15 +24,12 @@ from .faults import (
     parse_fault_plan,
 )
 from .journal import SweepJournal
-from .experiments import (
+from .reporting import (
     MEMORY_BOUND,
-    creation_overhead,
     figure5_summary,
-    onchip_table_ablation,
-    small_params,
-    traversal_count_sweep,
+    format_table,
+    normalized_bar,
 )
-from .reporting import format_table, normalized_bar, print_rows
 from .runner import SCHEMES, SchemeRun, run_scheme, scheme_plan
 from .schemes import (
     SCHEME_REGISTRY,
@@ -59,6 +48,7 @@ from .spec import (
     compile_spec,
     load_spec,
     run_spec,
+    small_params,
     spec_artifact,
 )
 from .tournament import is_tournament_spec, tournament_summary
@@ -88,8 +78,6 @@ __all__ = [
     "TransientFault",
     "RunSpec",
     "ScheduledRun",
-    "StallLine",
-    "StallReport",
     "SweepError",
     "SweepPlan",
     "SweepResults",
@@ -101,28 +89,20 @@ __all__ = [
     "load_spec",
     "register_scheme",
     "run_spec",
-    "safe_ratio",
     "paper_scheme_names",
     "scheme_names",
     "spec_artifact",
     "is_tournament_spec",
     "tournament_summary",
     "spec_key",
-    "speedup",
-    "speedup_rows",
-    "stall_report",
     "MEMORY_BOUND",
     "SCHEMES",
     "SchemeRun",
-    "creation_overhead",
     "figure5_summary",
     "format_table",
     "normalized_bar",
-    "onchip_table_ablation",
     "parse_fault_plan",
-    "print_rows",
     "run_scheme",
     "scheme_plan",
     "small_params",
-    "traversal_count_sweep",
 ]

@@ -8,7 +8,7 @@ owns *where* it runs.  Three ship in the :data:`BACKENDS` registry:
     In-process, one cell at a time — the default for ``--jobs 1`` and
     trivial plans.  Built programs are memoized per (benchmark, params,
     variant), so the schemes of one variant share a single build.
-``process`` (alias ``process-pool``)
+``process``
     A local ``ProcessPoolExecutor`` fan-out with hung-worker reaping and
     crash recovery — the historical ``--jobs N`` path, now with cheap
     dispatch: each distinct :class:`~repro.config.MachineConfig` ships
@@ -474,7 +474,6 @@ BACKENDS: Registry[type[WorkerBackend]] = Registry(
 )
 BACKENDS.register("serial", SerialBackend)
 BACKENDS.register("process", ProcessPoolBackend)
-BACKENDS.register("process-pool", ProcessPoolBackend)
 
 
 __all__ = [

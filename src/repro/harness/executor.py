@@ -1,7 +1,7 @@
 """Scheme-level sweep planning: :class:`SweepPlan` and its results.
 
-Every experiment — a spec file, the X1/X2 extensions, ``repro
-run``/``stats`` and the golden gate — plans :class:`RunSpec` cells on a
+Every experiment — a spec file, ``repro run``/``stats`` and the
+golden gate — plans :class:`RunSpec` cells on a
 :class:`SweepPlan` and executes them through one
 :class:`~repro.harness.scheduler.Scheduler`.  The layers underneath:
 

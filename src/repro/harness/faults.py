@@ -27,7 +27,7 @@ one failure mode for the first ``times`` attempts of every matching cell:
     the ``service`` backend per job submission and shipped to the
     ``repro serve`` pool as directives, exercising the scheduler's
     pool-failover, lease-expiry, and idempotent-result handling.  They
-    never fire for serial or local process-pool sweeps.
+    never fire for serial or local ``process`` sweeps.
 
 Determinism: whether a fault fires depends only on ``(spec, attempt)``
 — no randomness, no wall clock — so a faulty sweep retried to success

@@ -1,8 +1,12 @@
-"""Plain-text table formatting for experiment results."""
+"""Plain-text table formatting for experiment results, and Figure 5's
+headline averages."""
 
 from __future__ import annotations
 
-from typing import Iterable
+#: Benchmarks with an appreciable memory-latency component — the set over
+#: which the paper computes its headline averages ("If we disregard bh,
+#: bisort, power, tsp and voronoi...", Section 4.2).
+MEMORY_BOUND = ("em3d", "health", "mst", "perimeter", "treeadd")
 
 
 def format_table(rows: list[dict[str, object]], title: str | None = None) -> str:
@@ -47,5 +51,24 @@ def normalized_bar(value: float, scale: int = 40) -> str:
     return "#" * n
 
 
-def print_rows(rows: Iterable[dict[str, object]], title: str | None = None) -> None:
-    print(format_table(list(rows), title))
+def figure5_summary(rows: list[dict[str, object]]) -> list[dict[str, object]]:
+    """The paper's headline averages over the memory-bound benchmarks."""
+    out = []
+    for scheme in ("software", "cooperative", "hardware", "dbp"):
+        # Degenerate tiny runs can round "normalized" to 0.0 (and error
+        # rows carry no metrics at all); both are skipped, not divided by.
+        picked = [
+            r for r in rows
+            if r["scheme"] == scheme and r["benchmark"] in MEMORY_BOUND
+            and r.get("normalized")
+        ]
+        if not picked:
+            continue
+        speedup = sum(1 / r["normalized"] for r in picked) / len(picked)
+        memcut = sum(r["mem_reduction%"] for r in picked) / len(picked)
+        out.append({
+            "scheme": scheme,
+            "avg speedup%": round(100 * (speedup - 1), 1),
+            "avg mem stall cut%": round(memcut, 1),
+        })
+    return out

@@ -7,11 +7,12 @@ report.  Specs load from TOML or JSON files (``examples/specs/``), and
 **compile onto the existing sweep machinery** — every spec becomes plain
 :class:`~repro.harness.executor.RunSpec` cells in a
 :class:`~repro.harness.executor.SweepPlan`, so spec-driven runs inherit
-the executor's deduplication, on-disk result cache, process-pool
+the executor's deduplication, on-disk result cache, worker-process
 parallelism, retries, timeouts, and checkpoint-resume without any code
-of their own.  The paper's Table 1 and Figures 4–7 are defined only as
-spec files (``examples/specs/``); ``repro table1``/``figure4``…
-``figure7`` run them.
+of their own.  Every experiment — the paper's Table 1 and Figures 4–7,
+and the X1–X6 extensions — is defined only as a spec file
+(``examples/specs/``); ``repro table1``/``figure4``…``figure7`` run the
+paper's, ``repro run-spec`` any of them.
 
 Spec documents have this shape (TOML shown; JSON is isomorphic)::
 
@@ -73,6 +74,11 @@ class SpecError(ReproError):
     """A malformed or unsatisfiable experiment spec."""
 
 
+def small_params(name: str) -> dict[str, Any]:
+    """Reduced sizes for quick runs/tests (not the bench defaults)."""
+    return workload_class(name).test_params()
+
+
 #: Implementation prefixes for idiom-expanded (figure-4 style) rows.
 _IMPL_ENGINES = {"sw": "software", "coop": "cooperative"}
 
@@ -80,9 +86,7 @@ _IMPL_ENGINES = {"sw": "software", "coop": "cooperative"}
 # Row metrics
 # ----------------------------------------------------------------------
 
-#: Column name -> metric over (run, base, benchmark).  These reproduce
-#: the bespoke experiment functions' formulas exactly (same rounding),
-#: which is what makes spec rows bit-identical to the historical ones.
+#: Column name -> metric over (run, base, benchmark).
 METRICS: dict[str, Callable[[SchemeRun, SchemeRun, str], Any]] = {
     "benchmark": lambda run, base, name: name,
     "variant": lambda run, base, name: run.variant,
@@ -98,6 +102,9 @@ METRICS: dict[str, Callable[[SchemeRun, SchemeRun, str], Any]] = {
     ),
     "bytes/inst": lambda run, base, name: round(
         run.result.hierarchy.bytes_l1_l2 / base.result.instructions, 3
+    ),
+    "compute_overhead%": lambda run, base, name: round(
+        100 * (run.compute / base.compute - 1), 1
     ),
 }
 
@@ -136,7 +143,8 @@ OUTCOME_COLUMNS = {
 METRICS.update(OUTCOME_COLUMNS)
 
 #: Metrics that need the baseline run (a failed base fails the row).
-BASE_DEPENDENT = {"normalized", "mem_reduction%", "bytes/inst"}
+BASE_DEPENDENT = {"normalized", "mem_reduction%", "bytes/inst",
+                  "compute_overhead%"}
 
 
 # ----------------------------------------------------------------------
@@ -400,8 +408,7 @@ class ExperimentSpec:
     def small(self) -> "ExperimentSpec":
         """Each workload at its quick test size (spec params still win)."""
         return replace(self, workloads=tuple(
-            replace(w, params={**workload_class(w.name).test_params(),
-                               **w.params})
+            replace(w, params={**small_params(w.name), **w.params})
             for w in self.workloads
         ))
 

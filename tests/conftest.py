@@ -13,7 +13,7 @@ from repro.config import CacheConfig
 from repro.harness import ExperimentSpec, WorkloadSel, load_spec
 from repro.isa.registers import A0, T0, T1, V0, ZERO
 
-#: The shipped experiment specs (Table 1, Figures 4-7, ...).
+#: The shipped experiment specs (Table 1, Figures 4-7, X1-X6).
 SPEC_DIR = Path(__file__).resolve().parents[1] / "examples" / "specs"
 
 

@@ -1,18 +1,11 @@
 """Experiment harness on reduced sizes: structural invariants of every
-table/figure (the shipped spec files, cut down) and of the X1/X2
-extension experiments."""
+table/figure and of the X1/X2 extension experiments (the shipped spec
+files, cut down)."""
 
 import pytest
 
 from repro import small_config
-from repro.harness import (
-    SCHEMES,
-    creation_overhead,
-    figure5_summary,
-    onchip_table_ablation,
-    run_spec,
-    traversal_count_sweep,
-)
+from repro.harness import SCHEMES, figure5_summary, run_spec
 from repro.workloads import workload_class, workload_names
 from tests.conftest import shipped_spec
 
@@ -101,20 +94,22 @@ class TestFigure7:
 
 class TestAblations:
     def test_onchip_table(self, cfg):
-        rows = onchip_table_ablation(
-            cfg, benchmarks=("treeadd",), table_entries=64, params=SMALL
-        )
+        spec = shipped_spec("x1", ("treeadd",), SMALL,
+                            axes={"onchip_entries": (64,)})
+        rows = run_spec(spec, cfg)
         assert rows[0]["benchmark"] == "treeadd"
-        assert rows[0]["base"] > 0
+        assert rows[0]["onchip_entries"] == 64
+        # normalized divides by the base run's cycles: both ran
+        assert rows[0]["normalized"] > 0
 
-    def test_creation_overhead_positive(self, cfg):
-        rows = creation_overhead(cfg, benchmarks=("treeadd",), params=SMALL)
-        assert rows[0]["creation overhead%"] > 0  # queue code costs compute
+    def test_compute_overhead_positive(self, cfg):
+        rows = run_spec(shipped_spec("x2-creation", ("treeadd",), SMALL), cfg)
+        assert rows[0]["compute_overhead%"] > 0  # queue code costs compute
 
-    def test_traversal_count_sweep(self, cfg):
-        rows = traversal_count_sweep(
-            cfg, passes=(1, 4), params=workload_class("treeadd").test_params()
-        )
-        assert [r["passes"] for r in rows] == [1, 4]
+    def test_passes_sweep(self, cfg):
+        rows = run_spec(shipped_spec("x2-passes", params=SMALL,
+                                     axes={"passes": (1, 4)}), cfg)
+        hardware = [r for r in rows if r["scheme"] == "hardware"]
+        assert [r["passes"] for r in hardware] == [1, 4]
         # hardware JPP gains nothing on a single pass but does with four
-        assert rows[0]["hardware"] >= rows[1]["hardware"] - 0.02
+        assert hardware[0]["normalized"] >= hardware[1]["normalized"] - 0.02

@@ -18,7 +18,7 @@ from repro.audit import (
     table1_observations,
 )
 from repro.audit.gate import DEFAULT_GOLDEN
-from repro.harness.experiments import MEMORY_BOUND
+from repro.harness import MEMORY_BOUND
 
 
 class TestPaperTarget:

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro import small_config
 from repro.harness import (
-    BACKENDS,
     BackendError,
     RunSpec,
     Scheduler,
@@ -99,9 +98,6 @@ class TestBackendResolution:
         backend = SerialBackend()
         sched = Scheduler(jobs=4, backend=backend)
         assert sched._resolve_backend([1, 2]) is backend
-
-    def test_process_pool_alias(self):
-        assert BACKENDS.get("process-pool") is ProcessPoolBackend
 
     def test_unknown_backend_raises(self):
         sched = Scheduler(backend="no-such-backend")

@@ -19,13 +19,12 @@ from repro.harness import (
     compile_spec,
     load_spec,
     run_spec,
+    small_params,
     spec_artifact,
 )
-from repro.harness.experiments import small_params
-from tests.conftest import shipped_spec
+from tests.conftest import SPEC_DIR, shipped_spec
 
-SHIPPED = [f"examples/specs/{name}.toml" for name in
-           ("figure4", "figure5", "figure6", "figure7", "table1")]
+SHIPPED = sorted(f"examples/specs/{p.name}" for p in SPEC_DIR.glob("*.toml"))
 
 
 # ----------------------------------------------------------------------
@@ -40,6 +39,8 @@ class TestSpecFiles:
         # ... and the dict form survives JSON.
         blob = json.dumps(spec.to_dict(), sort_keys=True)
         assert ExperimentSpec.from_dict(json.loads(blob)) == spec
+        # ... and it lowers onto sweep cells at test size.
+        assert compile_spec(spec.small()).cell_count > 0
 
     def test_json_spec_loads(self, tmp_path):
         spec = shipped_spec("figure7")
@@ -284,6 +285,124 @@ class TestParity:
             cfg=cfg)
         assert direct == via_spec
         assert all(r["latency"] == 70 and r["interval"] == 4 for r in direct)
+
+    def test_x1_onchip_rows_match_plan(self):
+        cfg = small_config()
+        names = ("em3d", "health", "treeadd")
+        plan = SweepPlan(cfg)
+        bases = {n: plan.add_run(n, "base", small_params(n)) for n in names}
+        scheduled = []
+        for entries in (0, 64, 16384):
+            point = cfg.with_overrides(
+                {"prefetch.onchip_table_entries": entries})
+            for n in names:
+                scheduled.append((entries, n, plan.add_run(
+                    n, "hardware", small_params(n), cfg=point)))
+        results = plan.execute()
+        direct = [
+            {"benchmark": n, "onchip_entries": entries,
+             "normalized": round(results.scheme_run(sr).normalized(
+                 results.scheme_run(bases[n]).total), 3)}
+            for entries, n, sr in scheduled
+        ]
+        via_spec = run_spec(shipped_spec("x1").small(), cfg=cfg)
+        assert direct == via_spec
+        got = {(r["benchmark"], r["onchip_entries"]): r["normalized"]
+               for r in via_spec}
+        assert got["em3d", 0] == 0.956
+        assert got["health", 0] == 0.973
+        assert got["treeadd", 0] == 1.0
+        assert got["health", 64] == got["health", 16384] == 0.984
+
+    def test_x2_creation_rows_match_plan(self):
+        cfg = small_config()
+        plan = SweepPlan(cfg)
+        scheduled = [
+            (n, plan.add_run(n, "base", small_params(n)),
+             plan.add_run(n, "software", small_params(n)))
+            for n in ("health", "treeadd")
+        ]
+        results = plan.execute()
+        direct = []
+        for n, base_sr, sw_sr in scheduled:
+            base, sw = results.scheme_run(base_sr), results.scheme_run(sw_sr)
+            direct.append({
+                "benchmark": n,
+                "variant": sw.variant,
+                "compute_overhead%": round(
+                    100 * (sw.compute / base.compute - 1), 1),
+            })
+        via_spec = run_spec(shipped_spec("x2-creation").small(), cfg=cfg)
+        assert direct == via_spec
+        assert [(r["variant"], r["compute_overhead%"]) for r in via_spec] \
+            == [("sw:chain", 23.5), ("sw:queue", 38.7)]
+
+    def test_x2_passes_rows_match_plan(self):
+        cfg = small_config()
+        plan = SweepPlan(cfg)
+        scheduled = []
+        for passes in (1, 2, 4, 8):
+            params = {**small_params("treeadd"), "passes": passes}
+            scheduled.append((passes, plan.add_run("treeadd", "base", params), {
+                s: plan.add_run("treeadd", s, params)
+                for s in ("hardware", "cooperative", "dbp")
+            }))
+        results = plan.execute()
+        direct = []
+        for passes, base_sr, runs in scheduled:
+            base = results.scheme_run(base_sr)
+            for scheme, sr in runs.items():
+                direct.append({
+                    "passes": passes,
+                    "scheme": scheme,
+                    "normalized": round(
+                        results.scheme_run(sr).normalized(base.total), 3),
+                })
+        assert direct == run_spec(shipped_spec("x2-passes").small(), cfg=cfg)
+
+    def test_x3_adaptive_rows_match_plan(self):
+        import dataclasses
+        cfg = small_config()
+        params = small_params("health")
+        plan = SweepPlan(cfg)
+        scheduled = []
+        for latency in (70, 280):
+            point = cfg.with_memory_latency(latency)
+            base_sr = plan.add_run("health", "base", params, cfg=point)
+            for adaptive in (False, True):
+                hw_cfg = dataclasses.replace(point, prefetch=dataclasses.replace(
+                    point.prefetch, adaptive_interval=adaptive))
+                scheduled.append((latency, adaptive, base_sr, plan.add_run(
+                    "health", "hardware", params, cfg=hw_cfg)))
+        results = plan.execute()
+        direct = [
+            {"latency": latency, "adaptive": adaptive,
+             "normalized": round(results.scheme_run(sr).normalized(
+                 results.scheme_run(base_sr).total), 3)}
+            for latency, adaptive, base_sr, sr in scheduled
+        ]
+        via_spec = run_spec(shipped_spec("x3").small(), cfg=cfg)
+        assert direct == via_spec
+        assert [r["normalized"] for r in via_spec] == [0.973, 0.973,
+                                                       0.986, 0.986]
+
+    def test_x4_spmv_rows_match_plan(self):
+        cfg = small_config()
+        plan = SweepPlan(cfg)
+        runs = {s: plan.add_run("spmv", s, small_params("spmv"))
+                for s in SCHEMES}
+        results = plan.execute()
+        base = results.scheme_run(runs["base"])
+        direct = []
+        for scheme, sr in runs.items():
+            run = results.scheme_run(sr)
+            direct.append({
+                "scheme": scheme,
+                "normalized": round(run.normalized(base.total), 3),
+                "mem_reduction%": round(
+                    100 * run.memory_reduction(base.memory), 1),
+            })
+        assert direct == run_spec(shipped_spec("x4").small(), cfg=cfg)
 
     def test_spec_file_small_matches_wrapper(self):
         # The shipped figure5 file, cut down to one workload at test

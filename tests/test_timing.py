@@ -4,6 +4,7 @@ from repro import Assembler, simulate, simulate_decomposed
 from repro.cpu.timing import TimingModel, heap_range
 from repro.isa.program import HEAP_BASE
 from repro.isa.registers import A0, T0, T1, T2, T3, T4, T5, ZERO
+from repro.obs import Profiler
 
 from tests.conftest import assemble_list_walk, assemble_loop_sum
 
@@ -124,9 +125,9 @@ class TestMemoryBehaviour:
 
     def test_stall_attribution_sums_to_cycles(self, cfg):
         program, __ = assemble_list_walk(32)
-        model = TimingModel(program, cfg, attribute_stalls=True)
+        model = TimingModel(program, cfg, profile=Profiler())
         res = model.run()
-        assert sum(model.stall_attribution.values()) == res.cycles
+        assert sum(model.profiler.stall_attribution.values()) == res.cycles
 
 
 class TestControlFlow:
